@@ -12,6 +12,6 @@ Subpackages by physical layer:
 - :mod:`ringlock.cli`        config-driven experiment runner
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import adler, comb, engine, lattice, pulses, thermomech  # noqa: F401

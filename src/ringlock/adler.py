@@ -17,6 +17,10 @@ The photodetector sees the pulse train, modeled here as a unit-amplitude
 tone at the pulse phase, s(t) = cos(w_AM t - phi_S(t)); unlocked spectra
 show the carrier plus a one-sided ladder of sidebands spaced by the beat
 frequency with amplitudes falling off geometrically by exp(-b) per rung.
+
+Spectra are computed from the exact stationary phase
+(:func:`closed_form_phase`; Adler, Proc. IRE 34, 351 (1946)); the RK4
+integration :func:`integrate_adler` is kept as the independent oracle.
 """
 
 import warnings as _warnings
@@ -132,6 +136,32 @@ def unlocked_closed_form(i_b: float, tau) -> float | np.ndarray:
     return float(out) if np.ndim(tau) == 0 else out
 
 
+def closed_form_phase(i_b: float, tau) -> float | np.ndarray:
+    """Exact stationary (unwrapped) phase phi_S(tau).
+
+    Locked (|i_b| <= 1): the stable fixed point arcsin(i_b).  Unlocked
+    (i_b > 1): the antiderivative of :func:`unlocked_closed_form`,
+    sigma + 2 arctan(rho sin(sigma)/(1 - rho cos(sigma))) - pi/2 with
+    sigma = tau*sinh(b) + theta_b and rho = exp(-b); the constant places
+    sin(phi) = -1 at the comb peak (sigma = 0), the point of fastest slip.
+    i_b < -1 follows from the phi -> -phi, i_b -> -i_b symmetry.
+    """
+    if i_b < -1.0:
+        return -closed_form_phase(-i_b, tau)
+    tau = np.asarray(tau, dtype=float)
+    if i_b <= 1.0:
+        out = np.full(tau.shape, np.arcsin(i_b))
+    else:
+        b = np.arccosh(i_b)
+        sh = np.sinh(b)
+        rho = np.exp(-b)
+        sigma = tau * sh + (np.pi - np.arctan(sh))
+        out = sigma + 2.0 * np.arctan(rho * np.sin(sigma)
+                                      / (1.0 - rho * np.cos(sigma))) \
+            - np.pi / 2.0
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class SpectrumMap:
     """Detector-signal PSD as a function of modulation amplitude."""
@@ -147,25 +177,15 @@ class SpectrumMap:
     warnings: tuple = field(default_factory=tuple)
 
 
-def _transient_tau(i_b: float) -> float:
-    """Dimensionless transient to discard: 10 beat periods, or a fixed
-    relaxation allowance when locked."""
-    beat = beat_frequency(i_b)
-    if beat > 0.0:
-        return 10.0 * 2.0 * np.pi / beat
-    return 50.0
-
-
 def pd_spectrum_sweep(params_base: AdlerParams, v_am_grid,
                       duration: float, sample_rate: float,
-                      dtau: float = 0.005,
                       segment_len: int | None = None) -> SpectrumMap:
     """Sweep the modulation amplitude and collect detector-signal spectra.
 
-    For each V_AM the phase equation is integrated in dimensionless time,
-    transients are discarded, and the synthetic detector signal
-    cos(w_AM t - phi_S(t)) is sampled at ``sample_rate`` for ``duration``
-    seconds and Welch-averaged.  Locked points show a single line at w_AM;
+    For each V_AM the exact stationary phase phi_S(t) (no transient) is
+    sampled at the detector times, and the synthetic detector signal
+    cos(w_AM t - phi_S(t)) over ``duration`` seconds at ``sample_rate`` is
+    Welch-averaged.  Locked points show a single line at w_AM;
     unlocked points a carrier plus sidebands spaced by
     zeta_AM V_AM sqrt(i_b^2-1) (rad/s) with geometric amplitude decay.
     """
@@ -199,11 +219,7 @@ def pd_spectrum_sweep(params_base: AdlerParams, v_am_grid,
     segments = 0
     for v, i_b in zip(v_am_grid, i_b_vals):
         rate = params_base.zeta_am * v           # d(tau)/dt, rad/s
-        tau_tr = _transient_tau(i_b)
-        tau_end = tau_tr + abs(rate) * duration
-        traj = integrate_adler(i_b, 0.0, tau_end, dtau)
-        tau_samples = tau_tr + abs(rate) * t
-        phi_t = np.interp(tau_samples, traj.tau, traj.phi)
+        phi_t = closed_form_phase(i_b, abs(rate) * t)
         signal = np.cos(params_base.omega_am * t - np.sign(rate) * phi_t)
         res = welch_psd(signal, sample_rate, segment_len)
         psd_cols.append(res.psd)

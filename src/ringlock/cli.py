@@ -44,6 +44,7 @@ class ParamSpec:
     kind: type = float
     positive: bool = False
     nonnegative: bool = False
+    choices: tuple = ()
 
 
 SCHEMAS = {
@@ -69,7 +70,7 @@ SCHEMAS = {
         "traj_every": ParamSpec("count", required=False, default=1000,
                                 kind=int, positive=True),
         "boundary": ParamSpec("enum", required=False, default="open_chain",
-                              kind=str),
+                              kind=str, choices=lattice.BOUNDARIES),
     },
     "pulse": {
         "g_m_re": ParamSpec("dimensionless"),
@@ -189,9 +190,15 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         if spec.kind is str:
             if not isinstance(raw, str):
                 findings.append(f"{key}: expected a string")
+            elif spec.choices and raw not in spec.choices:
+                findings.append(f"{key}: {raw!r} is not one of "
+                                + ", ".join(spec.choices))
             continue
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             findings.append(f"{key}: expected a number")
+            continue
+        if isinstance(raw, float) and not np.isfinite(raw):
+            findings.append(f"{key}: expected a finite number")
             continue
         if spec.kind is int and int(raw) != raw:
             findings.append(f"{key}: expected an integer")

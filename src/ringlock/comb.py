@@ -13,8 +13,6 @@ oracle for the closed form; the geometric tail bound makes the truncation
 error certifiable.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # coth(beta/2) overflows float range well before this; keep requests sane
@@ -26,24 +24,6 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must be positive, got {beta}")
     if beta < BETA_MIN:
         raise ValueError(f"beta={beta} below supported minimum {BETA_MIN}")
-
-
-@dataclass(frozen=True)
-class CombParams:
-    """Linewidth parameter and series cutoff for comb evaluation."""
-
-    beta: float
-    truncation_k: int
-
-    def __post_init__(self):
-        _check_beta(self.beta)
-        if self.truncation_k < 1:
-            raise ValueError("truncation_k must be >= 1")
-
-    @classmethod
-    def for_tolerance(cls, beta: float, tol: float = 1e-12) -> "CombParams":
-        """Choose the cutoff adaptively from the series tail bound."""
-        return cls(beta=beta, truncation_k=adaptive_truncation(beta, tol))
 
 
 def comb_closed(s, beta: float):

@@ -22,7 +22,7 @@ class IntegrationError(RuntimeError):
 
 
 class InsufficientDataError(ValueError):
-    """Signal too short for the requested spectral estimate."""
+    """Signal or trajectory too short for the requested estimate."""
 
 
 @dataclass

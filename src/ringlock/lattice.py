@@ -26,6 +26,8 @@ import numpy as np
 
 from .engine import RngStream, normal_draws
 
+BOUNDARIES = ("open_chain", "periodic")
+
 
 @dataclass(frozen=True)
 class LatticeConfig:
@@ -51,7 +53,7 @@ class LatticeConfig:
             raise ValueError("t_n must be nonnegative")
         if self.dt <= 0.0 or self.dt * self.mu_m > 0.1:
             raise ValueError("require 0 < dt and dt*mu_m <= 0.1")
-        if self.boundary not in ("open_chain", "periodic"):
+        if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
     @property
@@ -88,17 +90,20 @@ class ModeAmplitudes:
             raise ValueError("amplitudes must be nonnegative")
 
 
-def _drift(theta: np.ndarray, mu_m: float, periodic: bool) -> np.ndarray:
-    """Coupling drift mu_M*[sin(th_{m-1}-th_m) + sin(th_{m+1}-th_m)]."""
-    if periodic:
-        d = np.roll(theta, 1) - theta          # theta_{m-1} - theta_m
-        return mu_m * (np.sin(d) - np.sin(np.roll(d, -1)))
-    sd = np.sin(theta[:-1] - theta[1:])        # sin(theta_m - theta_{m+1})
-    drift = np.empty_like(theta)
-    drift[0] = -sd[0]
-    drift[1:-1] = sd[:-1] - sd[1:]
-    drift[-1] = sd[-1]
-    return mu_m * drift
+def _drift(theta: np.ndarray, coeff: float, periodic: bool,
+           links: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write coeff*(L_m - L_{m+1}) into ``out``, with link sines
+    L_m = sin(theta_{m-1} - theta_m) held in ``links`` (length N + 1).
+
+    The boundary links L_0 = L_N are 0 for the open chain and
+    sin(theta_{N-1} - theta_0) for the periodic chain.
+    """
+    np.subtract(theta[:-1], theta[1:], out=links[1:-1])
+    np.sin(links[1:-1], out=links[1:-1])
+    links[0] = links[-1] = np.sin(theta[-1] - theta[0]) if periodic else 0.0
+    np.subtract(links[:-1], links[1:], out=out)
+    out *= coeff
+    return out
 
 
 def step_lattice(state: LatticeState, config: LatticeConfig,
@@ -116,8 +121,9 @@ def step_lattice(state: LatticeState, config: LatticeConfig,
         raise ValueError("non-finite state")
     if stream is None:
         stream = RngStream(config.seed)
-    new = theta + config.dt * _drift(theta, config.mu_m,
-                                     config.boundary == "periodic")
+    new = theta + _drift(theta, config.dt * config.mu_m,
+                         config.boundary == "periodic",
+                         np.empty(theta.size + 1), np.empty(theta.size))
     if config.t_n > 0.0:
         new = new + np.sqrt(2.0 * config.t_n * config.dt) * \
             normal_draws(stream, config.n_modes)
@@ -225,10 +231,26 @@ def phase_correlation(trajectory, k: int) -> complex:
     k = abs(int(k))
     if k >= n_modes:
         raise ValueError("lag k must be smaller than the chain length")
+    return _lag_correlation(thetas, k)
+
+
+def _lag_correlation(thetas: np.ndarray, k: int) -> complex:
+    """Mean of e^{i(theta_{m-k} - theta_m)} over the rows (sampled phase
+    vectors) and sites of ``thetas``."""
     if k == 0:
         return 1.0 + 0.0j
-    d = thetas[:, :-k] - thetas[:, k:]
-    return complex(np.exp(1j * d).mean())
+    return complex(np.exp(1j * (thetas[:, :-k] - thetas[:, k:])).mean())
+
+
+def _block_means(block: np.ndarray, mu_m: float, max_lag: int):
+    """Means over a block of sampled phase vectors (rows): the wrapped
+    neighbor-difference square, the energy, and the lag-k correlations for
+    k = 0..max_lag."""
+    d1 = block[:, :-1] - block[:, 1:]
+    dw = (d1 + np.pi) % (2.0 * np.pi) - np.pi
+    energy = -mu_m * float(np.cos(d1).sum()) / block.shape[0]
+    corr = [_lag_correlation(block, k) for k in range(max_lag + 1)]
+    return float(np.mean(dw * dw)), energy, corr
 
 
 @dataclass
@@ -263,9 +285,10 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
     Statistics are sampled every ``sample_every`` steps after ``burn_in``
     steps (default 10/(mu_M*dt)).  Standard errors come from batch means
     over ``n_batches`` contiguous blocks, which absorbs the autocorrelation
-    of the sampled series.  Passing ``record_every`` stores the full phase
-    vector every that many steps (trajectory files get large; keep the
-    stride coarse).
+    of the sampled series; only one block of phase vectors is held at a
+    time, and a partial last block enters the means but not the errors.
+    Passing ``record_every`` stores the full phase vector every that many
+    steps (trajectory files get large; keep the stride coarse).
     """
     if burn_in is None:
         burn_in = int(round(10.0 / (config.mu_m * config.dt)))
@@ -278,46 +301,28 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
     mu_dt = config.dt * config.mu_m
     sigma = np.sqrt(2.0 * config.t_n * config.dt)
 
-    sd = np.empty(n - 1)
+    links = np.empty(n + 1)
     drift = np.empty(n)
-    block = 4096
+    noise_block = 4096
     noise = np.empty((0, n))
     noise_i = 0
 
     n_total = burn_in + n_steps
     samples_expected = max(1, (n_steps + sample_every - 1) // sample_every)
     batch_len = max(1, samples_expected // n_batches)
-
-    sum_dsq = 0.0
-    sum_cos = np.zeros(max_lag + 1)
-    sum_sin = np.zeros(max_lag + 1)
-    sum_h = 0.0
-    count = 0
-    batch_dsq: list[float] = []
-    batch_corr: list[np.ndarray] = []
-    cur_dsq = 0.0
-    cur_corr = np.zeros(max_lag + 1)
-    cur_count = 0
+    block = np.empty((batch_len, n))
+    filled = 0
+    batches = []          # (diff_sq, energy, corr) means of each full block
     rec_time: list[float] = []
     rec_theta: list[np.ndarray] = []
 
     for i in range(n_total):
         if noise_i >= noise.shape[0]:
-            draws = normal_draws(stream, block * n) * sigma
-            noise = draws.reshape(block, n)
+            draws = normal_draws(stream, noise_block * n) * sigma
+            noise = draws.reshape(noise_block, n)
             noise_i = 0
-        if periodic:
-            d = np.roll(theta, 1) - theta
-            theta += mu_dt * (np.sin(d) - np.sin(np.roll(d, -1))) + noise[noise_i]
-        else:
-            np.subtract(theta[:-1], theta[1:], out=sd)
-            np.sin(sd, out=sd)
-            drift[0] = -sd[0]
-            drift[-1] = sd[-1]
-            np.subtract(sd[:-1], sd[1:], out=drift[1:-1])
-            drift *= mu_dt
-            theta += drift
-            theta += noise[noise_i]
+        theta += _drift(theta, mu_dt, periodic, links, drift)
+        theta += noise[noise_i]
         noise_i += 1
 
         if record_every is not None and i % record_every == 0:
@@ -325,52 +330,36 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
             rec_theta.append(theta.copy())
 
         if i >= burn_in and (i - burn_in) % sample_every == 0:
-            d1 = theta[:-1] - theta[1:]
-            dw = (d1 + np.pi) % (2.0 * np.pi) - np.pi
-            dsq = float(np.mean(dw * dw))
-            sum_dsq += dsq
-            cur_dsq += dsq
-            sum_h += -config.mu_m * float(np.sum(np.cos(d1)))
-            for k in range(max_lag + 1):
-                if k == 0:
-                    c, s_ = 1.0, 0.0
-                else:
-                    dk = theta[:-k] - theta[k:]
-                    c = float(np.mean(np.cos(dk)))
-                    s_ = float(np.mean(np.sin(dk)))
-                sum_cos[k] += c
-                sum_sin[k] += s_
-                cur_corr[k] += c
-            count += 1
-            cur_count += 1
-            if cur_count == batch_len:
-                batch_dsq.append(cur_dsq / cur_count)
-                batch_corr.append(cur_corr / cur_count)
-                cur_dsq = 0.0
-                cur_corr = np.zeros(max_lag + 1)
-                cur_count = 0
+            block[filled] = theta
+            filled += 1
+            if filled == batch_len:
+                batches.append(_block_means(block, config.mu_m, max_lag))
+                filled = 0
 
+    nb = len(batches)
+    count = nb * batch_len + filled
     if count == 0:
         raise ValueError("no samples collected; increase n_steps")
-    if cur_count > 0 and len(batch_dsq) == 0:
-        batch_dsq.append(cur_dsq / cur_count)
-        batch_corr.append(cur_corr / cur_count)
+    sizes = [batch_len] * nb
+    if filled:
+        sizes.append(filled)
+        batches.append(_block_means(block[:filled], config.mu_m, max_lag))
+    weights = np.array(sizes) / count
+    dsq, energy, corr = (np.array(x) for x in zip(*batches))
+    if nb > 1:
+        dsq_se = float(dsq[:nb].std(ddof=1) / np.sqrt(nb))
+        corr_se = corr[:nb].real.std(axis=0, ddof=1) / np.sqrt(nb)
+    else:
+        dsq_se = float("nan")
+        corr_se = np.full(max_lag + 1, np.nan)
 
-    nb = len(batch_dsq)
-    bd = np.array(batch_dsq)
-    bc = np.array(batch_corr)
-    dsq_se = float(bd.std(ddof=1) / np.sqrt(nb)) if nb > 1 else float("nan")
-    corr_se = (bc.std(axis=0, ddof=1) / np.sqrt(nb)) if nb > 1 \
-        else np.full(max_lag + 1, np.nan)
-
-    corr = (sum_cos + 1j * sum_sin) / count
     return LatticeRunStats(
         n_samples=count,
-        diff_sq=sum_dsq / count,
+        diff_sq=float(weights @ dsq),
         diff_sq_se=dsq_se,
-        corr=corr,
+        corr=weights @ corr,
         corr_se=corr_se,
-        mean_energy=sum_h / count,
+        mean_energy=float(weights @ energy),
         final_state=LatticeState(theta=theta, time=n_total * config.dt),
         traj_time=np.array(rec_time) if record_every is not None else None,
         traj_theta=np.array(rec_theta) if record_every is not None else None,

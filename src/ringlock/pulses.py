@@ -41,19 +41,6 @@ class UnstableIterationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PulseState:
-    """Gaussian pulse parameter plus carried (untransformed) metadata."""
-
-    gamma: complex
-    e0: complex = 1.0 + 0.0j
-    omega_p: float = 0.0
-
-    def __post_init__(self):
-        if not complex(self.gamma).real > 0.0:
-            raise ValueError("Re(gamma) must be positive (pulse width)")
-
-
-@dataclass(frozen=True)
 class MoebiusElement:
     """Coefficients (a, b, c, d) acting on the inverse pulse parameter."""
 
@@ -69,22 +56,6 @@ class MoebiusElement:
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class NormalizedPulse:
-    """Dimensionless pulse parameter g = gamma/gamma_F and round-trip clock."""
-
-    g: complex
-    g_m: complex
-    tau_r: float
-    t_r: float
-
-    def __post_init__(self):
-        if not abs(self.g_m) < 1.0:
-            raise ValueError("|g_m| must be < 1 (perturbative regime)")
-        if not self.t_r > 0.0:
-            raise ValueError("t_r must be positive")
 
 
 IDENTITY = MoebiusElement(1, 0, 0, 1)

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comb import comb_closed
+from .engine import InsufficientDataError
 
 HBAR = 1.054571817e-34  # J s
 
@@ -53,10 +54,6 @@ class InstabilityError(RuntimeError):
         self.t = t
         self.state = state
         self.trajectory = trajectory
-
-
-class InsufficientDataError(ValueError):
-    """Trajectory too short to extract ringdown parameters."""
 
 
 @dataclass(frozen=True)

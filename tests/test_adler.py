@@ -3,26 +3,10 @@ import pytest
 from scipy import integrate
 
 from ringlock.adler import (AdlerParams, PhaseTrajectory, beat_frequency,
-                            integrate_adler, normalized_bias,
-                            pd_spectrum_sweep, sideband_amplitudes,
-                            unlocked_closed_form)
+                            closed_form_phase, integrate_adler,
+                            normalized_bias, pd_spectrum_sweep,
+                            sideband_amplitudes, unlocked_closed_form)
 from ringlock.engine import SpectrumResult
-
-
-def closed_form_phase(i_b, tau):
-    """Antiderivative of the closed-form phase velocity.
-
-    Integrating sinh(b) T_b(sigma) in sigma gives
-    sigma + 2 arctan(rho sin(sigma)/(1 - rho cos(sigma))) with rho = e^-b;
-    the constant -pi/2 places sin(phi) = -1 at the comb peak (sigma = 0),
-    as the phase equation requires at maximum slip rate.
-    """
-    b = np.arccosh(i_b)
-    sh = np.sinh(b)
-    rho = np.exp(-b)
-    sigma = tau * sh + (np.pi - np.arctan(sh))
-    return sigma + 2.0 * np.arctan(rho * np.sin(sigma)
-                                   / (1.0 - rho * np.cos(sigma))) - np.pi / 2
 
 
 def mean_slip_rate(traj: PhaseTrajectory) -> float:
@@ -157,16 +141,20 @@ class TestUnlockedClosedForm:
 
     def test_matches_ode_from_matched_initial_condition(self):
         # starting the integrator at the closed form's phi(0) keeps the two
-        # solutions together with no alignment freedom
-        i_b = 2.0
-        phi0 = closed_form_phase(i_b, 0.0)
-        traj = integrate_adler(i_b, phi0, 30.0, 0.002)
-        exact = closed_form_phase(i_b, traj.tau)
-        # compare slip rates pointwise (both sides are exact expressions)
-        ode_vel = i_b - np.sin(traj.phi)
-        cf_vel = unlocked_closed_form(i_b, traj.tau)
-        assert np.max(np.abs(ode_vel - cf_vel)) < 1e-3
-        assert np.max(np.abs(traj.phi - exact)) < 1e-3
+        # solutions together with no alignment freedom; covers the slipping,
+        # the locked and the mirrored (i_b < -1) branches
+        for i_b in (2.0, 0.5, -2.0):
+            phi0 = closed_form_phase(i_b, 0.0)
+            traj = integrate_adler(i_b, phi0, 30.0, 0.002)
+            exact = closed_form_phase(i_b, traj.tau)
+            assert np.max(np.abs(traj.phi - exact)) < 1e-3, i_b
+            if abs(i_b) > 1.0:
+                # compare slip rates pointwise (both sides are exact
+                # expressions); phi -> -phi maps i_b -> -i_b
+                ode_vel = i_b - np.sin(traj.phi)
+                cf_vel = np.sign(i_b) * unlocked_closed_form(abs(i_b),
+                                                             traj.tau)
+                assert np.max(np.abs(ode_vel - cf_vel)) < 1e-3, i_b
 
 
 class TestSpectrumSweep:

@@ -53,6 +53,27 @@ class TestValidateConfig:
         cfg = ExperimentConfig("lattice", {**LATTICE_PARAMS,
                                            "n_modes": 16.5}, 0, Path("."))
         assert any("integer" in f for f in validate_config(cfg))
+        # non-finite numbers (Python's json parses NaN and +-Infinity),
+        # signed, positive and integer keys alike
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            for experiment, params, key in (
+                    ("seo", TestRunExperiment.SEO_BASE, "k_a1"),
+                    ("comb", {"beta": 0.5}, "beta"),
+                    ("lattice", LATTICE_PARAMS, "n_modes")):
+                cfg = ExperimentConfig(experiment, {**params, key: bad}, 0,
+                                       Path("."))
+                assert any(key in f and "finite" in f
+                           for f in validate_config(cfg)), (key, bad)
+        # enum values
+        cfg = ExperimentConfig("lattice", {**LATTICE_PARAMS,
+                                           "boundary": "perodic"}, 0,
+                               Path("."))
+        assert any("boundary" in f and "perodic" in f
+                   for f in validate_config(cfg))
+        cfg = ExperimentConfig("lattice", {**LATTICE_PARAMS,
+                                           "boundary": "periodic"}, 0,
+                               Path("."))
+        assert validate_config(cfg) == []
 
     def test_valid_config_empty_findings(self):
         cfg = ExperimentConfig("lattice", LATTICE_PARAMS, 0, Path("."))
@@ -177,6 +198,18 @@ class TestMainEntry:
 
         missing = tmp_path / "nope.json"
         assert main(["run", str(missing)]) == 2
+
+        # a NaN parameter or an unknown enum value fails before running
+        for name, payload in (
+                ("nan.json", {"experiment": "seo", "parameters": dict(
+                    TestRunExperiment.SEO_BASE, k_a1=float("nan"))}),
+                ("enum.json", {"experiment": "lattice", "parameters": dict(
+                    LATTICE_PARAMS, boundary="perodic")})):
+            path = write_config(tmp_path, payload, name)
+            out = tmp_path / name.replace(".json", "_out")
+            assert main(["validate", str(path)]) == 2, name
+            assert main(["run", str(path), "--out", str(out)]) == 2, name
+            assert not out.exists(), name
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # pulse iteration seeded beyond the unstable fixed point diverges

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ringlock.comb import (CombParams, adaptive_truncation, comb_closed,
+from ringlock.comb import (adaptive_truncation, comb_closed,
                            comb_fourier_coeff, comb_hwhm, comb_series,
                            series_tail_bound)
 
@@ -136,15 +136,3 @@ class TestHwhm:
     def test_wide_profile_returns_half_period(self):
         # cosh(beta) >= 3 has no half-max point on the principal branch
         assert comb_hwhm(2.0) == pytest.approx(np.pi)
-
-
-class TestCombParams:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            CombParams(beta=-1.0, truncation_k=10)
-        with pytest.raises(ValueError):
-            CombParams(beta=1.0, truncation_k=0)
-
-    def test_for_tolerance(self):
-        p = CombParams.for_tolerance(0.25, 1e-12)
-        assert series_tail_bound(p.beta, p.truncation_k) <= 1e-12

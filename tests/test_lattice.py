@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from ringlock.engine import RngStream
-from ringlock.lattice import (LatticeConfig, LatticeState, ModeAmplitudes,
+from ringlock.engine import RngStream, normal_draws
+from ringlock.lattice import (BOUNDARIES, LatticeConfig, LatticeState,
+                              ModeAmplitudes,
                               ensemble_intensity, hamiltonian,
                               intensity_waveform, phase_correlation,
                               run_lattice, sample_gibbs, step_lattice)
@@ -260,6 +263,55 @@ class TestRunLattice:
         assert a.diff_sq == b.diff_sq
         assert np.array_equal(a.corr, b.corr)
         assert np.array_equal(a.final_state.theta, b.final_state.theta)
+
+    def test_matches_repeated_single_steps(self):
+        # From the all-zero start a noiseless chain never moves, so the
+        # run's own noise (the leading draws of its seeded stream) is
+        # replayed on top of noiseless single steps: the trajectories must
+        # agree bit for bit on both boundaries.
+        n, k = 8, 300
+        for boundary in BOUNDARIES:
+            cfg = LatticeConfig(n_modes=n, mu_m=1.0, t_n=0.4, dt=5e-3,
+                                seed=9, boundary=boundary)
+            stats = run_lattice(cfg, n_steps=k, burn_in=0, max_lag=3,
+                                record_every=1)
+            still = dataclasses.replace(cfg, t_n=0.0)
+            noise = normal_draws(RngStream(cfg.seed), k * n).reshape(k, n) \
+                * np.sqrt(2.0 * cfg.t_n * cfg.dt)
+            st = LatticeState(theta=np.zeros(n))
+            for i in range(k):
+                st = LatticeState(theta=step_lattice(st, still).theta
+                                  + noise[i])
+                assert np.array_equal(st.theta, stats.traj_theta[i]), \
+                    (boundary, i)
+            assert np.array_equal(st.theta, stats.final_state.theta)
+
+    def test_statistics_match_per_sample_reference(self):
+        # burn_in=0 and record_every=sample_every make the recorded states
+        # the sampled ones; 23 samples in 7 batches of 3 leave a tail of 2
+        # that enters the means but not the batch-means errors
+        cfg = LatticeConfig(n_modes=8, mu_m=1.3, t_n=0.3, dt=5e-3, seed=4)
+        stats = run_lattice(cfg, n_steps=230, burn_in=0, sample_every=10,
+                            max_lag=3, n_batches=7, record_every=10)
+        dsq, corr, energy = [], [], []
+        for th in stats.traj_theta:
+            d1 = th[:-1] - th[1:]
+            dw = (d1 + np.pi) % (2 * np.pi) - np.pi
+            dsq.append(np.mean(dw * dw))
+            corr.append([1.0] + [np.mean(np.exp(1j * (th[:-k] - th[k:])))
+                                 for k in range(1, 4)])
+            energy.append(hamiltonian(LatticeState(theta=th), cfg))
+        dsq, corr = np.array(dsq), np.array(corr)
+        assert stats.n_samples == len(dsq) == 23
+        assert stats.diff_sq == pytest.approx(dsq.mean(), rel=1e-12)
+        assert stats.mean_energy == pytest.approx(np.mean(energy), rel=1e-12)
+        assert np.allclose(stats.corr, corr.mean(axis=0), rtol=0, atol=1e-12)
+        b_dsq = dsq[:21].reshape(7, 3).mean(axis=1)
+        b_corr = corr[:21].real.reshape(7, 3, 4).mean(axis=1)
+        assert stats.diff_sq_se == pytest.approx(
+            b_dsq.std(ddof=1) / np.sqrt(7), rel=1e-9)
+        assert np.allclose(stats.corr_se, b_corr.std(axis=0, ddof=1)
+                           / np.sqrt(7), rtol=1e-9, atol=1e-15)
 
     def test_periodic_boundary_runs(self):
         cfg = LatticeConfig(n_modes=8, mu_m=1.0, t_n=0.1, dt=5e-3, seed=1,
