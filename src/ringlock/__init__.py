@@ -1,5 +1,6 @@
 """ringlock: mode locking, synchronization, and bolometric instabilities in
-a fiber ring cavity with a mechanical mirror.
+a fiber ring cavity with a mechanical mirror.  The library needs numpy
+alone; other packages serve only the tests, as independent oracles.
 
 Subpackages by physical layer:
 
@@ -8,10 +9,10 @@ Subpackages by physical layer:
 - :mod:`ringlock.pulses`     Moebius algebra for Gaussian pulse parameters
 - :mod:`ringlock.adler`      injection locking of the pulse train
 - :mod:`ringlock.thermomech` bolometric optomechanics of the mirror
-- :mod:`ringlock.engine`     RNG streams, RK4 stepper, Welch PSD
+- :mod:`ringlock.engine`     RNG streams, RK4 stepper, numpy Welch PSD
 - :mod:`ringlock.cli`        config-driven experiment runner
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from . import adler, comb, engine, lattice, pulses, thermomech  # noqa: F401

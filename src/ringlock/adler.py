@@ -23,7 +23,6 @@ Spectra are computed from the exact stationary phase
 integration :func:`integrate_adler` is kept as the independent oracle.
 """
 
-import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np

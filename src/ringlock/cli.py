@@ -11,9 +11,10 @@ Command line:
     ringlock validate CONFIG
     ringlock preset paper
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure.  The
-output directory may also be set with the RINGLOCK_OUT environment
-variable (the --out flag wins).
+Exit codes: 0 success, 2 validation failure (by the schema or by the
+library's own checks during the run), 3 numerical failure.  The output
+directory may also be set with the RINGLOCK_OUT environment variable (the
+--out flag wins).
 """
 
 import argparse
@@ -325,10 +326,15 @@ def _run_pulse(config, manifest, out_dir):
     _write_table(manifest, out_dir, "trajectory",
                  ["round_trip", "re_g", "im_g", "re_tanh", "im_tanh"],
                  [idx, traj.real, traj.imag, closed.real, closed.imag])
+    # the map depends on g_m^2 alone; the sign with Re >= 0 gives the
+    # attracting fixed points, of the map and of its continuum limit
+    g_s = g_m if g_m.real >= 0.0 else -g_m
+    fixed = complex(pulses.discrete_fixed_points(g_s)[0])
     manifest.derived.update({
         "g_m": [g_m.real, g_m.imag],
         "final_g": [float(traj[-1].real), float(traj[-1].imag)],
-        "fixed_point": [g_m.real, g_m.imag],
+        "fixed_point": [fixed.real, fixed.imag],
+        "continuum_fixed_point": [g_s.real, g_s.imag],
     })
 
 
@@ -675,10 +681,13 @@ def main(argv=None) -> int:
     try:
         manifest = run_experiment(config)
     except (thermomech.InstabilityError, IntegrationError,
-            pulses.UnstableIterationError, FloatingPointError,
-            ArithmeticError) as err:
+            pulses.UnstableIterationError, ArithmeticError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
+    except ValueError as err:
+        # a constraint the schema does not express, checked by the library
+        print(f"error: invalid config: {err}", file=sys.stderr)
+        return 2
     print(f"wrote {len(manifest.outputs)} output file(s) to "
           f"{config.output_dir}")
     return 0

@@ -1,5 +1,5 @@
-"""Shared numerical infrastructure: reproducible random streams, a fixed-step
-RK4 stepper, and Welch-averaged power spectral density estimation.
+"""Shared numerical infrastructure, in numpy alone: reproducible random
+streams, a fixed-step RK4 stepper, and Welch power spectral densities.
 
 All stochastic simulations in this package draw their noise through
 :class:`RngStream`, which is counter-based: the pair ``(seed, counter)``
@@ -10,7 +10,6 @@ sweeps can derive independent substreams without coordination.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _signal
 
 
 class IntegrationError(RuntimeError):
@@ -96,12 +95,14 @@ class SpectrumResult:
     segments: int
 
 
-def welch_psd(signal: np.ndarray, sample_rate: float, segment_len: int,
-              overlap: float = 0.5) -> SpectrumResult:
-    """Hann-windowed, overlap-averaged one-sided PSD of a real signal.
+def welch_psd(signal: np.ndarray, sample_rate: float,
+              segment_len: int) -> SpectrumResult:
+    """Welch's one-sided PSD of a real signal (Welch, IEEE Trans. Audio
+    Electroacoust. 15, 70 (1967)): periodic Hann window, 50% overlap, no
+    detrending, density scaling.
 
     ``segment_len`` must be a power of two no longer than the signal;
-    ``overlap`` is the fractional segment overlap (default 50%).
+    samples past the last whole segment are not used.
     """
     signal = np.asarray(signal, dtype=float)
     n = signal.size
@@ -110,14 +111,13 @@ def welch_psd(signal: np.ndarray, sample_rate: float, segment_len: int,
     if segment_len > n:
         raise InsufficientDataError(
             f"signal length {n} shorter than segment length {segment_len}")
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError("overlap must be in [0, 1)")
-    noverlap = int(overlap * segment_len)
-    freqs, psd = _signal.welch(
-        signal, fs=sample_rate, window="hann", nperseg=segment_len,
-        noverlap=noverlap, detrend=False, return_onesided=True,
-        scaling="density")
-    segments = 1 + (n - segment_len) // (segment_len - noverlap)
-    return SpectrumResult(freqs=freqs, psd=psd,
-                          resolution=sample_rate / segment_len,
-                          segments=segments)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len)
+                                / segment_len)
+    frames = np.lib.stride_tricks.sliding_window_view(
+        signal, segment_len)[::segment_len // 2]
+    psd = np.mean(np.abs(np.fft.rfft(frames * window)) ** 2, axis=0) \
+        / (sample_rate * np.sum(window ** 2))
+    psd[1:-1] *= 2.0    # fold negative frequencies; segment_len is even
+    return SpectrumResult(
+        freqs=np.fft.rfftfreq(segment_len, 1.0 / sample_rate), psd=psd,
+        resolution=sample_rate / segment_len, segments=frames.shape[0])

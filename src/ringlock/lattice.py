@@ -242,11 +242,15 @@ def _lag_correlation(thetas: np.ndarray, k: int) -> complex:
     return complex(np.exp(1j * (thetas[:, :-k] - thetas[:, k:])).mean())
 
 
-def _block_means(block: np.ndarray, mu_m: float, max_lag: int):
+def _block_means(block: np.ndarray, mu_m: float, max_lag: int,
+                 periodic: bool):
     """Means over a block of sampled phase vectors (rows): the wrapped
     neighbor-difference square, the energy, and the lag-k correlations for
-    k = 0..max_lag."""
+    k = 0..max_lag.  The periodic chain's neighbor pairs include the wrap
+    link theta_{N-1} - theta_0, as in :func:`hamiltonian`."""
     d1 = block[:, :-1] - block[:, 1:]
+    if periodic:
+        d1 = np.concatenate((d1, block[:, -1:] - block[:, :1]), axis=1)
     dw = (d1 + np.pi) % (2.0 * np.pi) - np.pi
     energy = -mu_m * float(np.cos(d1).sum()) / block.shape[0]
     corr = [_lag_correlation(block, k) for k in range(max_lag + 1)]
@@ -333,7 +337,8 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
             block[filled] = theta
             filled += 1
             if filled == batch_len:
-                batches.append(_block_means(block, config.mu_m, max_lag))
+                batches.append(_block_means(block, config.mu_m, max_lag,
+                                            periodic))
                 filled = 0
 
     nb = len(batches)
@@ -343,7 +348,8 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
     sizes = [batch_len] * nb
     if filled:
         sizes.append(filled)
-        batches.append(_block_means(block[:filled], config.mu_m, max_lag))
+        batches.append(_block_means(block[:filled], config.mu_m, max_lag,
+                                    periodic))
     weights = np.array(sizes) / count
     dsq, energy, corr = (np.array(x) for x in zip(*batches))
     if nb > 1:

@@ -111,6 +111,18 @@ def roundtrip_map(g: complex, g_m: complex) -> complex:
     return (g + gm2) / den
 
 
+def discrete_fixed_points(g_m: complex):
+    """Fixed points (p, q) of :func:`roundtrip_map`: g(1 + g + g_m^2) =
+    g + g_m^2, that is g^2 + g_m^2 g - g_m^2 = 0.
+
+    p = -g_m^2/2 + g_m sqrt(1 + g_m^2/4) continues the continuum point +g_m,
+    q continues -g_m.  Their multipliers are reciprocal, so one attracts
+    the iteration and the other repels it: p for Re(g_m) > 0.
+    """
+    root = g_m * np.sqrt(g_m * g_m + 4.0)
+    return (-g_m * g_m + root) / 2.0, (-g_m * g_m - root) / 2.0
+
+
 def roundtrip_iterate(g0: complex, g_m: complex, n: int) -> np.ndarray:
     """Iterate the normalized round-trip map n times.
 

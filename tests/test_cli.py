@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,14 @@ def write_config(tmp_path, payload, name="config.json"):
 
 LATTICE_PARAMS = {"n_modes": 16, "mu_m": 1.0, "t_n": 0.2, "dt": 0.002,
                   "n_steps": 40000, "sample_every": 40, "max_lag": 5}
+NOISE_PARAMS = {
+    "g_oa": 1600.0, "n_pi": 1.25, "gamma_om": 0.1 * 2 * np.pi * 368.2e3,
+    "n_p": 2e6, "lambda_l": 1550e-9, "delta_lambda": 0.2e-9, "l_r": 553.88,
+    "n_eff": 1.47, "omega_p": 2 * np.pi * 193.4e12,
+    "omega_m": 2 * np.pi * 368.2e3}
+ADLER_PARAMS = {"omega_am": 2333575.02, "omega_r": 2332946.70,
+                "v_am0": 0.156, "v_min": 0.04, "v_max": 0.31, "n_v": 3,
+                "duration": 0.0625, "sample_rate": 1048576.0}
 
 
 class TestValidateConfig:
@@ -99,12 +110,7 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_checksums_match_files(self, tmp_path):
-        cfg = ExperimentConfig("noise", {
-            "g_oa": 1600.0, "n_pi": 1.25, "gamma_om": 0.1 * 2 * np.pi
-            * 368.2e3, "n_p": 2e6, "lambda_l": 1550e-9,
-            "delta_lambda": 0.2e-9, "l_r": 553.88, "n_eff": 1.47,
-            "omega_p": 2 * np.pi * 193.4e12, "omega_m": 2 * np.pi * 368.2e3,
-        }, 3, tmp_path)
+        cfg = ExperimentConfig("noise", NOISE_PARAMS, 3, tmp_path)
         manifest = run_experiment(cfg)
         assert len(manifest.outputs) == 1
         rec = manifest.outputs[0]
@@ -134,6 +140,17 @@ class TestRunExperiment:
         manifest = run_experiment(cfg)
         assert manifest.derived["final_g"][0] == pytest.approx(
             1e-3 * np.tanh(0.2), rel=1e-2)
+        # the map converges to its own fixed point, not the continuum g_m;
+        # the sign of g_m does not enter the map
+        for g_m_re in (0.1, -0.1):
+            cfg = ExperimentConfig("pulse", {"g_m_re": g_m_re, "n": 300}, 0,
+                                   tmp_path / str(g_m_re))
+            derived = run_experiment(cfg).derived
+            assert derived["continuum_fixed_point"] == [0.1, 0.0]
+            assert derived["fixed_point"][0] == pytest.approx(
+                -0.005 + 0.1 * np.sqrt(1.0025), rel=1e-15)
+            assert np.allclose(derived["final_g"], derived["fixed_point"],
+                               rtol=0, atol=1e-12)
 
     SEO_BASE = {
         "m_m": 1e-12, "omega_m": 2 * np.pi * 4e5,
@@ -210,6 +227,47 @@ class TestMainEntry:
             assert main(["validate", str(path)]) == 2, name
             assert main(["run", str(path), "--out", str(out)]) == 2, name
             assert not out.exists(), name
+
+        # constraints the schema does not express fail in the run with
+        # exit 2 as well, before any manifest is written
+        capsys.readouterr()
+        for experiment, params in (
+                ("lattice", dict(LATTICE_PARAMS, dt=0.5, mu_m=1.0)),
+                ("lattice", dict(LATTICE_PARAMS, max_lag=9, n_modes=8)),
+                ("pulse", {"g_m_re": 1.5, "n": 10}),
+                ("comb", {"beta": 1e-8}),
+                ("noise", dict(NOISE_PARAMS, g_oa=0.5)),
+                ("seo", dict(TestRunExperiment.SEO_BASE, steps_per_cycle=20)),
+                ("adler", dict(ADLER_PARAMS, duration=0.001,
+                               sample_rate=1000.0))):
+            path = write_config(tmp_path, {"experiment": experiment,
+                                           "parameters": params}, "c.json")
+            out = tmp_path / "constraint_out"
+            assert main(["run", str(path), "--out", str(out)]) == 2, params
+            assert not (out / f"{experiment}_manifest.json").exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid config: "), err
+            assert "Traceback" not in err
+
+    def test_run_path_imports_no_scipy(self, tmp_path):
+        # scipy serves the tests only: a fresh interpreter that imports the
+        # CLI and runs a spectrum experiment never loads it
+        cfg = write_config(tmp_path, {"experiment": "adler",
+                                      "parameters": ADLER_PARAMS})
+        code = ("import sys\n"
+                "from ringlock.cli import main\n"
+                f"code = main(['run', {str(cfg)!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}])\n"
+                "print(code, sorted(m for m in sys.modules\n"
+                "                   if m.split('.')[0] == 'scipy'))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert (tmp_path / "out" / "adler_manifest.json").exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # pulse iteration seeded beyond the unstable fixed point diverges

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import signal
 
 from ringlock.engine import (IntegrationError, InsufficientDataError,
                              RngStream, normal_draws, rk4_step, substream,
@@ -108,6 +109,20 @@ class TestRk4:
 
 
 class TestWelchPsd:
+    @pytest.mark.parametrize("n, seg, fs", [
+        (4096, 256, 1e3), (65536, 8192, 2.0 ** 20), (5000, 512, 3.0),
+        (4096, 4096, 1.0), (4097, 2, 10.0)])
+    def test_matches_scipy_welch(self, n, seg, fs):
+        x = np.random.default_rng(n).standard_normal(n)
+        res = welch_psd(x, fs, seg)
+        opts = dict(fs=fs, window="hann", nperseg=seg, noverlap=seg // 2,
+                    detrend=False, scaling="density")
+        freqs, psd = signal.welch(x, **opts)
+        assert np.array_equal(res.freqs, freqs)
+        np.testing.assert_allclose(res.psd, psd, rtol=1e-12, atol=0.0)
+        # scipy's spectrogram has one time per averaged segment
+        assert res.segments == signal.spectrogram(x, **opts)[1].size
+
     def test_bin_centered_sine_power(self):
         fs = 1024.0
         n = 16384

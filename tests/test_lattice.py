@@ -289,29 +289,36 @@ class TestRunLattice:
     def test_statistics_match_per_sample_reference(self):
         # burn_in=0 and record_every=sample_every make the recorded states
         # the sampled ones; 23 samples in 7 batches of 3 leave a tail of 2
-        # that enters the means but not the batch-means errors
-        cfg = LatticeConfig(n_modes=8, mu_m=1.3, t_n=0.3, dt=5e-3, seed=4)
-        stats = run_lattice(cfg, n_steps=230, burn_in=0, sample_every=10,
-                            max_lag=3, n_batches=7, record_every=10)
-        dsq, corr, energy = [], [], []
-        for th in stats.traj_theta:
-            d1 = th[:-1] - th[1:]
-            dw = (d1 + np.pi) % (2 * np.pi) - np.pi
-            dsq.append(np.mean(dw * dw))
-            corr.append([1.0] + [np.mean(np.exp(1j * (th[:-k] - th[k:])))
-                                 for k in range(1, 4)])
-            energy.append(hamiltonian(LatticeState(theta=th), cfg))
-        dsq, corr = np.array(dsq), np.array(corr)
-        assert stats.n_samples == len(dsq) == 23
-        assert stats.diff_sq == pytest.approx(dsq.mean(), rel=1e-12)
-        assert stats.mean_energy == pytest.approx(np.mean(energy), rel=1e-12)
-        assert np.allclose(stats.corr, corr.mean(axis=0), rtol=0, atol=1e-12)
-        b_dsq = dsq[:21].reshape(7, 3).mean(axis=1)
-        b_corr = corr[:21].real.reshape(7, 3, 4).mean(axis=1)
-        assert stats.diff_sq_se == pytest.approx(
-            b_dsq.std(ddof=1) / np.sqrt(7), rel=1e-9)
-        assert np.allclose(stats.corr_se, b_corr.std(axis=0, ddof=1)
-                           / np.sqrt(7), rtol=1e-9, atol=1e-15)
+        # that enters the means but not the batch-means errors.  The
+        # periodic chain's neighbor pairs include the wrap link.
+        for boundary in BOUNDARIES:
+            cfg = LatticeConfig(n_modes=8, mu_m=1.3, t_n=0.3, dt=5e-3,
+                                seed=4, boundary=boundary)
+            stats = run_lattice(cfg, n_steps=230, burn_in=0,
+                                sample_every=10, max_lag=3, n_batches=7,
+                                record_every=10)
+            dsq, corr, energy = [], [], []
+            for th in stats.traj_theta:
+                d1 = np.roll(th, 1) - th if boundary == "periodic" \
+                    else th[:-1] - th[1:]
+                dw = (d1 + np.pi) % (2 * np.pi) - np.pi
+                dsq.append(np.mean(dw * dw))
+                corr.append([1.0] + [np.mean(np.exp(1j * (th[:-k] - th[k:])))
+                                     for k in range(1, 4)])
+                energy.append(hamiltonian(LatticeState(theta=th), cfg))
+            dsq, corr = np.array(dsq), np.array(corr)
+            assert stats.n_samples == len(dsq) == 23
+            assert stats.diff_sq == pytest.approx(dsq.mean(), rel=1e-12)
+            assert stats.mean_energy == pytest.approx(np.mean(energy),
+                                                      rel=1e-12), boundary
+            assert np.allclose(stats.corr, corr.mean(axis=0), rtol=0,
+                               atol=1e-12)
+            b_dsq = dsq[:21].reshape(7, 3).mean(axis=1)
+            b_corr = corr[:21].real.reshape(7, 3, 4).mean(axis=1)
+            assert stats.diff_sq_se == pytest.approx(
+                b_dsq.std(ddof=1) / np.sqrt(7), rel=1e-9)
+            assert np.allclose(stats.corr_se, b_corr.std(axis=0, ddof=1)
+                               / np.sqrt(7), rtol=1e-9, atol=1e-15)
 
     def test_periodic_boundary_runs(self):
         cfg = LatticeConfig(n_modes=8, mu_m=1.0, t_n=0.1, dt=5e-3, seed=1,

@@ -3,9 +3,10 @@ import pytest
 
 from ringlock.pulses import (IDENTITY, MoebiusElement, PoleError,
                              UnstableIterationError, apply, compose,
-                             continuous_solution, element_freq_like,
-                             element_time_like, gamma_f_from_band,
-                             roundtrip_iterate, roundtrip_map)
+                             continuous_solution, discrete_fixed_points,
+                             element_freq_like, element_time_like,
+                             gamma_f_from_band, roundtrip_iterate,
+                             roundtrip_map)
 
 
 def random_element(rng):
@@ -146,17 +147,11 @@ class TestApply:
 
 
 class TestRoundtripIterate:
-    @staticmethod
-    def discrete_fixed_points(gm):
-        # g(1 + g + gm^2) = g + gm^2  =>  g^2 + gm^2 g - gm^2 = 0
-        root = gm * np.sqrt(gm * gm + 4.0)
-        return (-gm * gm + root) / 2.0, (-gm * gm - root) / 2.0
-
     def test_stable_fixed_point(self):
         # the discrete map's stable point sits at g_m(1 - g_m/2 + ...);
         # it is exactly constant, and a start at g_m stays within O(g_m^2)
         gm = 0.01
-        g_plus, _ = self.discrete_fixed_points(gm)
+        g_plus, _ = discrete_fixed_points(gm)
         assert g_plus == pytest.approx(gm * (1.0 - gm / 2.0), rel=1e-4)
         traj = roundtrip_iterate(g_plus, gm, 50)
         assert np.allclose(traj, g_plus, rtol=1e-12)
@@ -198,13 +193,13 @@ class TestRoundtripIterate:
         dist = np.abs(traj + gm)
         assert np.all(np.diff(dist[:1000]) > 0)
         assert dist[1000] > 100.0 * dist[0]
-        g_plus, _ = self.discrete_fixed_points(gm)
+        g_plus, _ = discrete_fixed_points(gm)
         assert traj[-1] == pytest.approx(g_plus, rel=1e-6)
 
     def test_below_unstable_point_diverges(self):
         # outside the discrete unstable point the map runs to its pole
         gm = 1e-2
-        _, g_minus = self.discrete_fixed_points(gm)
+        _, g_minus = discrete_fixed_points(gm)
         with pytest.raises(UnstableIterationError):
             roundtrip_iterate(g_minus * (1.0 + 1e-4), gm, 50_000)
 
