@@ -23,6 +23,7 @@ Spectra are computed from the exact stationary phase
 integration :func:`integrate_adler` is kept as the independent oracle.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,14 +102,14 @@ def integrate_adler(i_b: float, phi0: float, tau_end: float,
     n = int(round(tau_end / dtau))
     phi = np.empty(n + 1)
     phi[0] = phi0
-    state = np.array([phi0])
+    state = float(phi0)
 
     def rhs(_t, y):
-        return i_b - np.sin(y)
+        return i_b - math.sin(y)
 
     for i in range(1, n + 1):
         state = rk4_step(state, rhs, (i - 1) * dtau, dtau)
-        phi[i] = state[0]
+        phi[i] = state
     return PhaseTrajectory(tau=np.arange(n + 1) * dtau, phi=phi)
 
 

@@ -13,6 +13,8 @@ oracle for the closed form; the geometric tail bound makes the truncation
 error certifiable.
 """
 
+import math
+
 import numpy as np
 
 # coth(beta/2) overflows float range well before this; keep requests sane
@@ -30,8 +32,14 @@ def comb_closed(s, beta: float):
     """Closed-form comb function sinh(beta)/(cosh(beta) - cos(s)).
 
     Strictly positive and 2*pi-periodic in ``s``; accepts scalars or arrays.
+    A Python float ``s`` (``np.float64`` is one) takes a ``math`` path and
+    returns a Python float, free of numpy's per-call scalar overhead in time
+    loops.  The paths agree to rounding, which the cancellation in
+    cosh(beta) - cos(s) magnifies near the peak at small beta.
     """
     _check_beta(beta)
+    if isinstance(s, float):
+        return math.sinh(beta) / (math.cosh(beta) - math.cos(s))
     return np.sinh(beta) / (np.cosh(beta) - np.cos(s))
 
 

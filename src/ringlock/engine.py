@@ -65,11 +65,13 @@ def normal_draws(stream: RngStream, n: int) -> np.ndarray:
     return gen.standard_normal(n)
 
 
-def rk4_step(state: np.ndarray, derivative, t: float, dt: float) -> np.ndarray:
+def rk4_step(state, derivative, t: float, dt: float):
     """One classical fourth-order Runge-Kutta step.
 
-    ``derivative(t, state)`` must return an array of the same shape as
-    ``state``.  Raises :class:`IntegrationError` if the result is not finite.
+    ``state`` may be a float or an array; ``derivative(t, state)`` must
+    return the same kind (an array of the same shape).  A scalar ODE stepped
+    on Python floats avoids numpy's per-call overhead.  Raises
+    :class:`IntegrationError` if the result is not finite.
     """
     k1 = derivative(t, state)
     k2 = derivative(t + 0.5 * dt, state + (0.5 * dt) * k1)

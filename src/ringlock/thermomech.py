@@ -364,6 +364,44 @@ def linear_response_oracle(mech: MechParams, absorption: AbsorptionModel,
     return delta_gamma, delta_omega
 
 
+def _intensity_law(drive: IntensityDrive, mech: MechParams,
+                   absorption: AbsorptionModel):
+    """The drive's law L_H(t, x, v, t_r) (SI), with its constants bound once.
+
+    :func:`drive_intensity` evaluates it once; :func:`simulate` builds it
+    before its time loop and calls it at every RK4 stage.
+    """
+    l0 = drive.l0
+    if drive.mode == "cw":
+        return lambda t, x, v, t_r: l0
+    if drive.mode == "comb":
+        omega_pulse, phase, beta = drive.omega_pulse, drive.phase, drive.beta
+
+        def comb_law(t, x, v, t_r):
+            return l0 * comb_closed(omega_pulse * t + phase, beta)
+        return comb_law
+
+    # closed_loop: phase and linewidth slaved to the mirror motion
+    omega_m, theta_ph = mech.omega_m, mech.theta_ph
+    fh_per_m = mech.theta_fh / mech.m_m
+    offset = drive.phase - (math.pi if absorption.k_a1 > 0.0 else 0.0)
+    coupling, beta_floor, t_n = drive.coupling, drive.beta_floor, drive.t_n
+
+    def closed_loop_law(t, x, v, t_r):
+        w = omega_m + theta_ph * t_r
+        xc = x - fh_per_m * t_r / (w * w)
+        vn = v / omega_m
+        amp = math.hypot(xc, vn)
+        psi = math.atan2(-vn, xc) if amp > 0.0 else 0.0
+        mu_m = coupling * amp
+        if mu_m > 0.0:
+            beta = max(beta_floor, t_n / (2.0 * mu_m))
+        else:
+            beta = _BETA_FLAT
+        return l0 * comb_closed(psi + offset, min(beta, _BETA_FLAT))
+    return closed_loop_law
+
+
 def drive_intensity(drive: IntensityDrive, mech: MechParams,
                     absorption: AbsorptionModel, t: float, x: float,
                     v: float, t_r: float) -> float:
@@ -374,26 +412,7 @@ def drive_intensity(drive: IntensityDrive, mech: MechParams,
     equilibrium x_eq = Theta_FH T_R/(m w^2), and the comb peak is placed at
     the turning point where A_H(x) is minimal (x > 0 side for k_A1 < 0).
     """
-    if drive.mode == "cw":
-        return drive.l0
-    if drive.mode == "comb":
-        return drive.l0 * comb_closed(drive.omega_pulse * t + drive.phase,
-                                      drive.beta)
-    # closed_loop: phase and linewidth slaved to the mirror motion
-    w = mech.omega_m + mech.theta_ph * t_r
-    x_eq = mech.theta_fh * t_r / (mech.m_m * w * w)
-    xc = x - x_eq
-    vn = v / mech.omega_m
-    amp = math.hypot(xc, vn)
-    psi = math.atan2(-vn, xc) if amp > 0.0 else 0.0
-    psi_target = math.pi if absorption.k_a1 > 0.0 else 0.0
-    mu_m = drive.coupling * amp
-    if mu_m > 0.0:
-        beta = max(drive.beta_floor, drive.t_n / (2.0 * mu_m))
-    else:
-        beta = _BETA_FLAT
-    beta = min(beta, _BETA_FLAT)
-    return drive.l0 * comb_closed(psi - psi_target + drive.phase, beta)
+    return _intensity_law(drive, mech, absorption)(t, x, v, t_r)
 
 
 def simulate(mech: MechParams, absorption: AbsorptionModel,
@@ -431,11 +450,11 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
     ka1 = absorption.k_a1 * x_ref
     ka2 = absorption.k_a2 * x_ref * x_ref
     h_scale = absorption.a_h0 / (t_ref * w0)
+    v_ref = x_ref * w0
+    law = _intensity_law(drive, mech, absorption)
 
     def rhs(tau, xs, ws, th):
-        x_si = xs * x_ref
-        lh = drive_intensity(drive, mech, absorption, tau / w0,
-                             x_si, ws * x_ref * w0, th * t_ref)
+        lh = law(tau / w0, xs * x_ref, ws * v_ref, th * t_ref)
         heat = lh * h_scale * (1.0 + ka1 * xs + ka2 * xs * xs)
         freq = 1.0 + c_ph * th
         return (ws,

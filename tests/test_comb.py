@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -49,12 +51,30 @@ class TestClosedForm:
         assert np.all(comb_closed(s, 0.02) > 0.0)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            comb_closed(0.0, 0.0)
-        with pytest.raises(ValueError):
-            comb_closed(0.0, -1.0)
-        with pytest.raises(ValueError):
-            comb_closed(0.0, 1e-9)  # below the overflow guard
+        for s in (0.0, np.float64(0.5), np.zeros(3)):
+            with pytest.raises(ValueError):
+                comb_closed(s, 0.0)
+            with pytest.raises(ValueError):
+                comb_closed(s, -1.0)
+            for beta in (1e-8, 1e-9):   # below the overflow guard
+                with pytest.raises(ValueError):
+                    comb_closed(s, beta)
+
+    def test_float_path_matches_array_path(self):
+        # a float s takes the math path and returns a Python float
+        s = np.concatenate([np.linspace(-7.0, 7.0, 1401),
+                            [0.0, 1e-9, 1e-3, np.pi]])
+        assert type(comb_closed(0.3, 1.0)) is float
+        assert type(comb_closed(np.float64(0.3), 1.0)) is float
+        for beta in (1e-6, 1e-3, 0.05, 1.0, 30.0):
+            array = comb_closed(s, beta)
+            scalar = np.array([comb_closed(float(si), beta) for si in s])
+            # 2 ulp, plus one ulp of cosh(beta) (numpy's vectorised cosh
+            # and the C library's may differ by one) carried through the
+            # cancellation in cosh(beta) - cos(s)
+            cond = math.cosh(beta) / (math.cosh(beta) - np.cos(s))
+            tol = 2.0 * np.spacing(array) * (1.0 + 2.0 * cond)
+            assert np.all(np.abs(scalar - array) <= tol), beta
 
 
 class TestSeries:

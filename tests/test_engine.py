@@ -67,6 +67,9 @@ class TestRk4:
             y = rk4_step(np.array([1.0]), lambda _t, y: a * y, 0.0, dt)
             err = abs(y[0] - np.exp(a * dt))
             assert err < abs(a * dt) ** 5 / 60.0
+            # a float state takes the same arithmetic and stays a float
+            y_float = rk4_step(1.0, lambda _t, y: a * y, 0.0, dt)
+            assert type(y_float) is float and y_float == y[0]
 
     def test_halving_dt_gives_sixteenfold_improvement(self):
         def f(t, y):
@@ -106,6 +109,8 @@ class TestRk4:
 
         with pytest.raises(IntegrationError):
             rk4_step(np.array([1.0]), f, 0.0, 0.1)
+        with pytest.raises(IntegrationError):
+            rk4_step(1.0, lambda _t, y: float("inf"), 0.0, 0.1)
 
 
 class TestWelchPsd:

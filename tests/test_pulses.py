@@ -203,6 +203,17 @@ class TestRoundtripIterate:
         with pytest.raises(UnstableIterationError):
             roundtrip_iterate(g_minus * (1.0 + 1e-4), gm, 50_000)
 
+    def test_matches_exact_n_fold_iterate(self):
+        # the map is a Moebius transformation with fixed points p, q, so
+        # w_n = (g_n - p)/(g_n - q) = k^n w_0 with multiplier
+        # k = (q + 1 + g_m^2)/(p + 1 + g_m^2), and g_n = (p - q w_n)/(1 - w_n)
+        gm, g0, n = 0.3 + 0.2j, 0.05 - 0.1j, 300
+        p, q = discrete_fixed_points(gm)
+        k = (q + 1.0 + gm * gm) / (p + 1.0 + gm * gm)
+        w = k ** np.arange(n + 1) * (g0 - p) / (g0 - q)
+        exact = (p - q * w) / (1.0 - w)
+        assert np.max(np.abs(roundtrip_iterate(g0, gm, n) - exact)) < 1e-13
+
     def test_map_derivative_stability(self):
         gm = 0.01
         h = 1e-8

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ringlock.engine import rk4_step
 from ringlock.thermomech import (AbsorptionModel, InstabilityError,
                                  InsufficientDataError, IntensityDrive,
                                  MechParams, MirrorTrajectory, NoiseChain,
@@ -269,6 +270,58 @@ class TestSimulate:
         assert err.value.t < 1.0
         assert np.all(np.isfinite(err.value.trajectory.x))
         assert len(err.value.state) == 3
+
+
+def rk4_si_reference(mech, absorption, drive, x0, v0, dt, n):
+    """(x, v, T_R) stepped in SI by engine.rk4_step, from drive_intensity
+    and AbsorptionModel.value: an independent route to simulate()."""
+    def derivative(t, y):
+        x, v, t_r = y
+        w = mech.omega_m + mech.theta_ph * t_r
+        heat = drive_intensity(drive, mech, absorption, t, x, v, t_r) \
+            * absorption.value(x)
+        return np.array([v,
+                         -2.0 * mech.gamma_m * v - w * w * x
+                         + mech.theta_fh * t_r / mech.m_m,
+                         heat - mech.kappa_m * t_r])
+
+    states = [np.array([x0, v0, 0.0])]
+    for i in range(n):
+        states.append(rk4_step(states[-1], derivative, i * dt, dt))
+    return np.array(states).T
+
+
+class TestSimulateReference:
+    @pytest.mark.parametrize("mode,theta_ph", [
+        ("closed_loop", 0.0), ("closed_loop", -2e3), ("cw", -2e3),
+        ("comb", -2e3)])
+    def test_matches_si_rk4(self, mode, theta_ph):
+        # the nondimensional RK4 of simulate() against the SI one: RK4
+        # commutes with rescaling time and state, so they agree to rounding
+        omega_m = 2 * np.pi * 4e5
+        mech = MechParams(m_m=1e-12, omega_m=omega_m, gamma_m=0.05 * omega_m,
+                          theta_ph=theta_ph, theta_fh=-1e-9,
+                          kappa_m=0.01 * omega_m)
+        absorption = AbsorptionModel(1e5, -1e4, 3e6)
+        t_n = 0.01 * omega_m
+        a0 = t_n / (omega_m * abs(absorption.k_a1))
+        l0 = 50.0   # T_R ~ 45 K in 4 cycles: a 3-4% thermal frequency shift
+        drive = {
+            "closed_loop": IntensityDrive.closed_loop(
+                l0, 1e4 * omega_m * abs(absorption.k_a1), beta_floor=0.05,
+                t_n=t_n),
+            "cw": IntensityDrive.cw(l0),
+            "comb": IntensityDrive.comb(l0, beta=0.4,
+                                        omega_pulse=0.31 * omega_m),
+        }[mode]
+        dt = 2 * np.pi / (500 * omega_m)
+        n = 2000
+        traj = simulate(mech, absorption, drive, x0=a0, v0=0.0,
+                        t_end=n * dt, dt=dt, store_every=1)
+        ref = rk4_si_reference(mech, absorption, drive, a0, 0.0, dt, n)
+        for got, want in zip((traj.x, traj.v, traj.t_r_rel), ref):
+            assert got.size == want.size == n + 1
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 class TestLinearResponseOracle:
