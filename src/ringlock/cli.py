@@ -158,7 +158,11 @@ class RunManifest:
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:
-    """Return all schema violations; an empty list means valid."""
+    """Return all schema violations; an empty list means valid.
+
+    A lattice config that meets the schema is also checked against the
+    chain's own constraints (:func:`ringlock.lattice.constraint_findings`).
+    """
     findings = []
     schema = SCHEMAS.get(config.experiment)
     if schema is None:
@@ -208,6 +212,10 @@ def validate_config(config: ExperimentConfig) -> list[str]:
             findings.append(f"{key} must be positive")
         if spec.nonnegative and raw < 0:
             findings.append(f"{key} must be nonnegative")
+    if not findings and config.experiment == "lattice":
+        findings = lattice.constraint_findings(
+            _param(config, "n_modes"), _param(config, "mu_m"),
+            _param(config, "dt"), _param(config, "max_lag"))
     return findings
 
 

@@ -27,6 +27,29 @@ import numpy as np
 from .engine import RngStream, normal_draws
 
 BOUNDARIES = ("open_chain", "periodic")
+MAX_MU_DT = 0.1     # stability bound of the explicit Euler step
+
+
+def constraint_findings(n_modes: int, mu_m: float, dt: float,
+                        max_lag: int | None = None) -> list[str]:
+    """Violations of the chain's constraints beyond the signs of its
+    parameters; an empty list means valid.
+
+    The chain needs n_modes >= 3, the explicit Euler step dt*mu_m <= 0.1,
+    and, when ``max_lag`` is given, a correlation lag shorter than the
+    chain.  :class:`LatticeConfig`, :func:`run_lattice` and the CLI's
+    config validation all check these here.
+    """
+    findings = []
+    if n_modes < 3:
+        findings.append(f"n_modes must be >= 3 (got {n_modes})")
+    if dt * mu_m > MAX_MU_DT:
+        findings.append(f"dt*mu_m must be <= {MAX_MU_DT} for the explicit "
+                        f"Euler step (got {dt * mu_m:g})")
+    if max_lag is not None and max_lag >= n_modes:
+        findings.append(f"max_lag must be smaller than the chain length "
+                        f"n_modes (got max_lag {max_lag}, n_modes {n_modes})")
+    return findings
 
 
 @dataclass(frozen=True)
@@ -45,14 +68,15 @@ class LatticeConfig:
     boundary: str = "open_chain"  # or "periodic"
 
     def __post_init__(self):
-        if self.n_modes < 3:
-            raise ValueError("n_modes must be >= 3")
         if self.mu_m <= 0.0:
             raise ValueError("mu_m must be positive")
         if self.t_n < 0.0:
             raise ValueError("t_n must be nonnegative")
-        if self.dt <= 0.0 or self.dt * self.mu_m > 0.1:
-            raise ValueError("require 0 < dt and dt*mu_m <= 0.1")
+        if self.dt <= 0.0:
+            raise ValueError("dt must be positive")
+        findings = constraint_findings(self.n_modes, self.mu_m, self.dt)
+        if findings:
+            raise ValueError("; ".join(findings))
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
@@ -90,20 +114,44 @@ class ModeAmplitudes:
             raise ValueError("amplitudes must be nonnegative")
 
 
-def _drift(theta: np.ndarray, coeff: float, periodic: bool,
-           links: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write coeff*(L_m - L_{m+1}) into ``out``, with link sines
-    L_m = sin(theta_{m-1} - theta_m) held in ``links`` (length N + 1).
+def _drift(theta: np.ndarray, coeff: float, periodic: bool):
+    """Bind the chain's drift to the phase vector ``theta`` once.
 
-    The boundary links L_0 = L_N are 0 for the open chain and
-    sin(theta_{N-1} - theta_0) for the periodic chain.
+    Returns a callable of no arguments that writes coeff*(L_m - L_{m+1})
+    for the current contents of ``theta`` into a buffer of its own and
+    returns that buffer, with link sines L_m = sin(theta_{m-1} - theta_m)
+    held in a second buffer of length N + 1.  The views of ``theta`` and
+    of the links, the buffers and an N-vector filled with ``coeff`` are
+    made here, so each call runs subtract -> sin -> subtract -> multiply
+    with positional outputs and nothing else.  ``theta`` must be updated
+    in place between calls.
+
+    The boundary links L_0 = L_N are 0 for the open chain, set once here,
+    and sin(theta_{N-1} - theta_0) for the periodic chain, set on each
+    call before the open chain's drift runs.
     """
-    np.subtract(theta[:-1], theta[1:], out=links[1:-1])
-    np.sin(links[1:-1], out=links[1:-1])
-    links[0] = links[-1] = np.sin(theta[-1] - theta[0]) if periodic else 0.0
-    np.subtract(links[:-1], links[1:], out=out)
-    out *= coeff
-    return out
+    n = theta.size
+    links = np.empty(n + 1)
+    out = np.empty(n)
+    scale = np.full(n, coeff)
+    left, right, inner = theta[:-1], theta[1:], links[1:-1]
+    lower, upper = links[:-1], links[1:]
+    subtract, sin, multiply = np.subtract, np.sin, np.multiply
+    links[0] = links[-1] = 0.0
+
+    def drift():
+        subtract(left, right, inner)
+        sin(inner, inner)
+        subtract(lower, upper, out)
+        multiply(out, scale, out)
+        return out
+    if not periodic:
+        return drift
+
+    def periodic_drift():
+        links[0] = links[-1] = sin(theta[-1] - theta[0])
+        return drift()
+    return periodic_drift
 
 
 def step_lattice(state: LatticeState, config: LatticeConfig,
@@ -122,8 +170,7 @@ def step_lattice(state: LatticeState, config: LatticeConfig,
     if stream is None:
         stream = RngStream(config.seed)
     new = theta + _drift(theta, config.dt * config.mu_m,
-                         config.boundary == "periodic",
-                         np.empty(theta.size + 1), np.empty(theta.size))
+                         config.boundary == "periodic")()
     if config.t_n > 0.0:
         new = new + np.sqrt(2.0 * config.t_n * config.dt) * \
             normal_draws(stream, config.n_modes)
@@ -293,23 +340,30 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
     time, and a partial last block enters the means but not the errors.
     Passing ``record_every`` stores the full phase vector every that many
     steps (trajectory files get large; keep the stride coarse).
+
+    The drift is bound to the phase vector once (:func:`_drift`).  Noise
+    comes in blocks of 4096 rows, each drawn from the stream's next key, so
+    the block size is part of the random stream.  Within a block the steps
+    run in intervals up to the next sample or record step, computed from
+    the strides, and the loop between them is theta += drift();
+    theta += noise row, with no per-step test.
     """
     if burn_in is None:
         burn_in = int(round(10.0 / (config.mu_m * config.dt)))
     n = config.n_modes
     periodic = config.boundary == "periodic"
-    if max_lag >= n:
-        raise ValueError("max_lag must be smaller than the chain length")
+    findings = constraint_findings(n, config.mu_m, config.dt, max_lag)
+    if findings:
+        raise ValueError("; ".join(findings))
+    if burn_in < 0 or sample_every < 1 or (record_every is not None
+                                           and record_every < 1):
+        raise ValueError("require burn_in >= 0, sample_every >= 1 and "
+                         "record_every >= 1")
     stream = RngStream(config.seed)
     theta = np.zeros(n)
-    mu_dt = config.dt * config.mu_m
+    drift = _drift(theta, config.dt * config.mu_m, periodic)
     sigma = np.sqrt(2.0 * config.t_n * config.dt)
-
-    links = np.empty(n + 1)
-    drift = np.empty(n)
     noise_block = 4096
-    noise = np.empty((0, n))
-    noise_i = 0
 
     n_total = burn_in + n_steps
     samples_expected = max(1, (n_steps + sample_every - 1) // sample_every)
@@ -320,26 +374,33 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
     rec_time: list[float] = []
     rec_theta: list[np.ndarray] = []
 
-    for i in range(n_total):
-        if noise_i >= noise.shape[0]:
-            draws = normal_draws(stream, noise_block * n) * sigma
-            noise = draws.reshape(noise_block, n)
-            noise_i = 0
-        theta += _drift(theta, mu_dt, periodic, links, drift)
-        theta += noise[noise_i]
-        noise_i += 1
-
-        if record_every is not None and i % record_every == 0:
-            rec_time.append((i + 1) * config.dt)
-            rec_theta.append(theta.copy())
-
-        if i >= burn_in and (i - burn_in) % sample_every == 0:
-            block[filled] = theta
-            filled += 1
-            if filled == batch_len:
-                batches.append(_block_means(block, config.mu_m, max_lag,
-                                            periodic))
-                filled = 0
+    # indices of the next step after which to sample and to record
+    next_sample = burn_in
+    next_record = 0 if record_every is not None else n_total
+    i = 0                 # steps taken
+    while i < n_total:
+        noise = normal_draws(stream, noise_block * n).reshape(noise_block, n)
+        noise *= sigma
+        start = i
+        block_end = min(i + noise_block, n_total)
+        while i < block_end:
+            stop = min(next_sample, next_record, block_end - 1)
+            for row in noise[i - start:stop + 1 - start]:
+                theta += drift()
+                theta += row
+            i = stop + 1
+            if stop == next_record:
+                rec_time.append(i * config.dt)
+                rec_theta.append(theta.copy())
+                next_record += record_every
+            if stop == next_sample:
+                block[filled] = theta
+                filled += 1
+                if filled == batch_len:
+                    batches.append(_block_means(block, config.mu_m, max_lag,
+                                                periodic))
+                    filled = 0
+                next_sample += sample_every
 
     nb = len(batches)
     count = nb * batch_len + filled

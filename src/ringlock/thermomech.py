@@ -427,7 +427,10 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
 
     Above an instability threshold the linear growth is unbounded; the run
     halts with :class:`InstabilityError` once |k_A1 x| > 1 (the absorption
-    expansion is invalid there) or the state stops being finite.
+    expansion is invalid there), once the thermal frequency
+    omega_m + Theta_PH T_R reaches zero (the restoring force vanishes and
+    the closed-loop law's x_eq is singular there), or once the state stops
+    being finite.
     """
     if dt <= 0.0 or dt > 2.0 * np.pi / (50.0 * mech.omega_m):
         raise ValueError("require 0 < dt <= 2*pi/(50*omega_m)")
@@ -487,12 +490,16 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
 
         bad = not (math.isfinite(xs) and math.isfinite(ws)
                    and math.isfinite(th))
-        if bad or abs(xs) > kx_limit:
+        if bad or abs(xs) > kx_limit or 1.0 + c_ph * th <= 0.0:
             partial = MirrorTrajectory(time[:j], xa[:j], va[:j], ta[:j])
             t_last = partial.time[-1]
+            if bad or abs(xs) > kx_limit:
+                reason = "integration left the linear-absorption domain"
+            else:
+                reason = ("the thermal frequency omega_m + theta_ph*T_R "
+                          "reached zero")
             raise InstabilityError(
-                "integration left the linear-absorption domain "
-                f"at t = {i * dt:.6g} s",
+                f"{reason} at t = {i * dt:.6g} s",
                 t=t_last,
                 state=(partial.x[-1], partial.v[-1], partial.t_r_rel[-1]),
                 trajectory=partial)

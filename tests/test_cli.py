@@ -86,6 +86,24 @@ class TestValidateConfig:
                                Path("."))
         assert validate_config(cfg) == []
 
+    def test_lattice_constraints(self):
+        # the chain's own constraints, beyond the signs of the values; the
+        # default max_lag (10) counts against a short chain
+        default_lag = {k: v for k, v in LATTICE_PARAMS.items()
+                       if k != "max_lag"}
+        for key, params in (
+                ("dt*mu_m", dict(LATTICE_PARAMS, dt=0.5, mu_m=1.0)),
+                ("n_modes", dict(LATTICE_PARAMS, n_modes=2, max_lag=1)),
+                ("max_lag", dict(LATTICE_PARAMS, max_lag=9, n_modes=8)),
+                ("max_lag", dict(default_lag, n_modes=8))):
+            findings = validate_config(
+                ExperimentConfig("lattice", params, 0, Path(".")))
+            assert len(findings) == 1 and key in findings[0], (key, findings)
+        # the stability bound dt*mu_m <= 0.1 is inclusive
+        cfg = ExperimentConfig("lattice", dict(LATTICE_PARAMS, dt=0.1,
+                                               mu_m=1.0), 0, Path("."))
+        assert validate_config(cfg) == []
+
     def test_valid_config_empty_findings(self):
         cfg = ExperimentConfig("lattice", LATTICE_PARAMS, 0, Path("."))
         assert validate_config(cfg) == []
@@ -216,12 +234,19 @@ class TestMainEntry:
         missing = tmp_path / "nope.json"
         assert main(["run", str(missing)]) == 2
 
-        # a NaN parameter or an unknown enum value fails before running
+        # a NaN parameter, an unknown enum value or a lattice constraint
+        # fails before running
         for name, payload in (
                 ("nan.json", {"experiment": "seo", "parameters": dict(
                     TestRunExperiment.SEO_BASE, k_a1=float("nan"))}),
                 ("enum.json", {"experiment": "lattice", "parameters": dict(
-                    LATTICE_PARAMS, boundary="perodic")})):
+                    LATTICE_PARAMS, boundary="perodic")}),
+                ("euler.json", {"experiment": "lattice", "parameters": dict(
+                    LATTICE_PARAMS, dt=0.5, mu_m=1.0)}),
+                ("short.json", {"experiment": "lattice", "parameters": dict(
+                    LATTICE_PARAMS, n_modes=2, max_lag=1)}),
+                ("lag.json", {"experiment": "lattice", "parameters": dict(
+                    LATTICE_PARAMS, max_lag=9, n_modes=8)})):
             path = write_config(tmp_path, payload, name)
             out = tmp_path / name.replace(".json", "_out")
             assert main(["validate", str(path)]) == 2, name
@@ -232,8 +257,6 @@ class TestMainEntry:
         # exit 2 as well, before any manifest is written
         capsys.readouterr()
         for experiment, params in (
-                ("lattice", dict(LATTICE_PARAMS, dt=0.5, mu_m=1.0)),
-                ("lattice", dict(LATTICE_PARAMS, max_lag=9, n_modes=8)),
                 ("pulse", {"g_m_re": 1.5, "n": 10}),
                 ("comb", {"beta": 1e-8}),
                 ("noise", dict(NOISE_PARAMS, g_oa=0.5)),

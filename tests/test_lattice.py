@@ -28,6 +28,22 @@ def exact_link_correlation(beta_n):
     return special.iv(1, kappa) / special.iv(0, kappa)
 
 
+def per_sample_reference(thetas, cfg, max_lag):
+    """Wrapped neighbor-difference square, lag-0..max_lag correlations and
+    energy of each phase vector (row) of ``thetas``, one row at a time; the
+    periodic chain's neighbor pairs include the wrap link."""
+    dsq, corr, energy = [], [], []
+    for th in thetas:
+        d1 = np.roll(th, 1) - th if cfg.boundary == "periodic" \
+            else th[:-1] - th[1:]
+        dw = (d1 + np.pi) % (2 * np.pi) - np.pi
+        dsq.append(np.mean(dw * dw))
+        corr.append([1.0] + [np.mean(np.exp(1j * (th[:-k] - th[k:])))
+                             for k in range(1, max_lag + 1)])
+        energy.append(hamiltonian(LatticeState(theta=th), cfg))
+    return np.array(dsq), np.array(corr), np.array(energy)
+
+
 def vonmises_chain(beta_n, n_modes, n_samples, seed):
     """Exact stationary sampler: independent von Mises links, cumsummed."""
     rng = np.random.default_rng(seed)
@@ -266,65 +282,97 @@ class TestRunLattice:
 
     def test_matches_repeated_single_steps(self):
         # From the all-zero start a noiseless chain never moves, so the
-        # run's own noise (the leading draws of its seeded stream) is
-        # replayed on top of noiseless single steps: the trajectories must
-        # agree bit for bit on both boundaries.
-        n, k = 8, 300
+        # run's own noise is replayed on top of noiseless single steps.  The
+        # run draws its noise in blocks of 4096 rows, each from the stream's
+        # next key, and 17 + 4500 steps cross into the second block.  The
+        # recorded states, the final state and the statistics of the
+        # sampled states (every 7th step after 17) must be those of the
+        # replay, bit for bit and to rounding, on both boundaries.
+        n, n_steps, burn_in, sample_every, record_every = 8, 4500, 17, 7, 13
+        k = burn_in + n_steps
         for boundary in BOUNDARIES:
             cfg = LatticeConfig(n_modes=n, mu_m=1.0, t_n=0.4, dt=5e-3,
                                 seed=9, boundary=boundary)
-            stats = run_lattice(cfg, n_steps=k, burn_in=0, max_lag=3,
-                                record_every=1)
+            stats = run_lattice(cfg, n_steps=n_steps, burn_in=burn_in,
+                                sample_every=sample_every, max_lag=3,
+                                record_every=record_every)
             still = dataclasses.replace(cfg, t_n=0.0)
-            noise = normal_draws(RngStream(cfg.seed), k * n).reshape(k, n) \
+            stream = RngStream(cfg.seed)
+            noise = np.concatenate([normal_draws(stream, 4096 * n)
+                                    for _ in range(2)]).reshape(-1, n) \
                 * np.sqrt(2.0 * cfg.t_n * cfg.dt)
             st = LatticeState(theta=np.zeros(n))
+            states = np.empty((k, n))
             for i in range(k):
                 st = LatticeState(theta=step_lattice(st, still).theta
                                   + noise[i])
-                assert np.array_equal(st.theta, stats.traj_theta[i]), \
-                    (boundary, i)
+                states[i] = st.theta
+            assert np.array_equal(stats.traj_theta, states[::record_every]), \
+                boundary
+            assert np.array_equal(stats.traj_time,
+                                  (np.arange(0, k, record_every) + 1)
+                                  * cfg.dt)
             assert np.array_equal(st.theta, stats.final_state.theta)
-
-    def test_statistics_match_per_sample_reference(self):
-        # burn_in=0 and record_every=sample_every make the recorded states
-        # the sampled ones; 23 samples in 7 batches of 3 leave a tail of 2
-        # that enters the means but not the batch-means errors.  The
-        # periodic chain's neighbor pairs include the wrap link.
-        for boundary in BOUNDARIES:
-            cfg = LatticeConfig(n_modes=8, mu_m=1.3, t_n=0.3, dt=5e-3,
-                                seed=4, boundary=boundary)
-            stats = run_lattice(cfg, n_steps=230, burn_in=0,
-                                sample_every=10, max_lag=3, n_batches=7,
-                                record_every=10)
-            dsq, corr, energy = [], [], []
-            for th in stats.traj_theta:
-                d1 = np.roll(th, 1) - th if boundary == "periodic" \
-                    else th[:-1] - th[1:]
-                dw = (d1 + np.pi) % (2 * np.pi) - np.pi
-                dsq.append(np.mean(dw * dw))
-                corr.append([1.0] + [np.mean(np.exp(1j * (th[:-k] - th[k:])))
-                                     for k in range(1, 4)])
-                energy.append(hamiltonian(LatticeState(theta=th), cfg))
-            dsq, corr = np.array(dsq), np.array(corr)
-            assert stats.n_samples == len(dsq) == 23
+            dsq, corr, energy = per_sample_reference(
+                states[burn_in::sample_every], cfg, max_lag=3)
+            assert stats.n_samples == len(dsq) == 643
             assert stats.diff_sq == pytest.approx(dsq.mean(), rel=1e-12)
-            assert stats.mean_energy == pytest.approx(np.mean(energy),
-                                                      rel=1e-12), boundary
+            assert stats.mean_energy == pytest.approx(energy.mean(),
+                                                      rel=1e-12)
             assert np.allclose(stats.corr, corr.mean(axis=0), rtol=0,
                                atol=1e-12)
-            b_dsq = dsq[:21].reshape(7, 3).mean(axis=1)
-            b_corr = corr[:21].real.reshape(7, 3, 4).mean(axis=1)
-            assert stats.diff_sq_se == pytest.approx(
-                b_dsq.std(ddof=1) / np.sqrt(7), rel=1e-9)
-            assert np.allclose(stats.corr_se, b_corr.std(axis=0, ddof=1)
-                               / np.sqrt(7), rtol=1e-9, atol=1e-15)
+
+    def test_statistics_match_per_sample_reference(self):
+        # The sampled states are read from the recorded trajectory, under
+        # two schedules: every 10th step from the start, and every 7th step
+        # after a burn-in of 17 with every step recorded.  23 samples in 7
+        # batches of 3 leave a tail of 2 that enters the means but not the
+        # batch-means errors.  The periodic chain's neighbor pairs include
+        # the wrap link.
+        schedules = ((0, 10, 10, 230), (17, 7, 1, 161))
+        for boundary in BOUNDARIES:
+            for burn_in, sample_every, record_every, n_steps in schedules:
+                self._check_per_sample_reference(
+                    boundary, burn_in, sample_every, record_every, n_steps)
+
+    @staticmethod
+    def _check_per_sample_reference(boundary, burn_in, sample_every,
+                                    record_every, n_steps):
+        cfg = LatticeConfig(n_modes=8, mu_m=1.3, t_n=0.3, dt=5e-3, seed=4,
+                            boundary=boundary)
+        stats = run_lattice(cfg, n_steps=n_steps, burn_in=burn_in,
+                            sample_every=sample_every, max_lag=3,
+                            n_batches=7, record_every=record_every)
+        sampled = np.arange(burn_in, burn_in + n_steps, sample_every)
+        dsq, corr, energy = per_sample_reference(
+            stats.traj_theta[sampled // record_every], cfg, max_lag=3)
+        assert stats.n_samples == len(dsq) == 23
+        assert stats.diff_sq == pytest.approx(dsq.mean(), rel=1e-12)
+        assert stats.mean_energy == pytest.approx(energy.mean(),
+                                                  rel=1e-12), boundary
+        assert np.allclose(stats.corr, corr.mean(axis=0), rtol=0,
+                           atol=1e-12)
+        b_dsq = dsq[:21].reshape(7, 3).mean(axis=1)
+        b_corr = corr[:21].real.reshape(7, 3, 4).mean(axis=1)
+        assert stats.diff_sq_se == pytest.approx(
+            b_dsq.std(ddof=1) / np.sqrt(7), rel=1e-9)
+        assert np.allclose(stats.corr_se, b_corr.std(axis=0, ddof=1)
+                           / np.sqrt(7), rtol=1e-9, atol=1e-15)
 
     def test_periodic_boundary_runs(self):
         cfg = LatticeConfig(n_modes=8, mu_m=1.0, t_n=0.1, dt=5e-3, seed=1,
                             boundary="periodic")
         stats = run_lattice(cfg, n_steps=5_000, sample_every=20, max_lag=3)
         assert np.isfinite(stats.diff_sq)
+
+    def test_schedule_guard(self):
+        # the step loop advances from one sample or record step to the
+        # next, which a stride below 1 or a negative burn-in never reaches
+        cfg = LatticeConfig(n_modes=8, mu_m=1.0, t_n=0.1, dt=5e-3)
+        for bad in ({"sample_every": 0}, {"sample_every": -3},
+                    {"record_every": 0}, {"burn_in": -1}):
+            with pytest.raises(ValueError):
+                run_lattice(cfg, n_steps=100, **bad)
 
     def test_lag_guard(self):
         cfg = LatticeConfig(n_modes=8, mu_m=1.0, t_n=0.1, dt=5e-3)

@@ -271,6 +271,31 @@ class TestSimulate:
         assert np.all(np.isfinite(err.value.trajectory.x))
         assert len(err.value.state) == 3
 
+    def test_halts_when_thermal_frequency_reaches_zero(self):
+        # with Theta_PH < 0 the heating pulses drive w = omega_m
+        # + Theta_PH T_R down to zero, where the restoring force vanishes
+        # and the closed-loop law's x_eq = Theta_FH T_R/(m w^2) is
+        # singular: the run halts there instead of integrating on to
+        # T_R ~ 1.6e4 K (Theta_PH T_R ~ -13 omega_m) by the 64th cycle
+        omega_m = 2 * np.pi * 4e5
+        mech = small_mirror(gamma_ratio=0.05, theta_ph=-2e3)
+        absorption = AbsorptionModel(1e5, -1e4, 3e6)
+        t_n = 0.01 * omega_m
+        l_star = mml_threshold(mech, absorption, t_n)
+        drive = IntensityDrive.closed_loop(1.03 * l_star, 1e4 * omega_m * 1e4,
+                                           beta_floor=0.01, t_n=t_n)
+        a0 = t_n / (omega_m * abs(absorption.k_a1))
+        dt = 2 * np.pi / (5000 * omega_m)
+        t_end = 64 * 2 * np.pi / omega_m
+        with pytest.raises(InstabilityError,
+                           match="thermal frequency") as err:
+            simulate(mech, absorption, drive, x0=a0, v0=0.0, t_end=t_end,
+                     dt=dt, store_every=1)
+        t_r = err.value.trajectory.t_r_rel
+        t_zero = omega_m / abs(mech.theta_ph)   # T_R where w = 0
+        assert err.value.t < t_end
+        assert np.all(t_r < t_zero)
+
 
 def rk4_si_reference(mech, absorption, drive, x0, v0, dt, n):
     """(x, v, T_R) stepped in SI by engine.rk4_step, from drive_intensity
