@@ -28,6 +28,7 @@ SI.
 """
 
 import math
+from math import atan2, cos, cosh, hypot, sinh
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,44 +365,6 @@ def linear_response_oracle(mech: MechParams, absorption: AbsorptionModel,
     return delta_gamma, delta_omega
 
 
-def _intensity_law(drive: IntensityDrive, mech: MechParams,
-                   absorption: AbsorptionModel):
-    """The drive's law L_H(t, x, v, t_r) (SI), with its constants bound once.
-
-    :func:`drive_intensity` evaluates it once; :func:`simulate` builds it
-    before its time loop and calls it at every RK4 stage.
-    """
-    l0 = drive.l0
-    if drive.mode == "cw":
-        return lambda t, x, v, t_r: l0
-    if drive.mode == "comb":
-        omega_pulse, phase, beta = drive.omega_pulse, drive.phase, drive.beta
-
-        def comb_law(t, x, v, t_r):
-            return l0 * comb_closed(omega_pulse * t + phase, beta)
-        return comb_law
-
-    # closed_loop: phase and linewidth slaved to the mirror motion
-    omega_m, theta_ph = mech.omega_m, mech.theta_ph
-    fh_per_m = mech.theta_fh / mech.m_m
-    offset = drive.phase - (math.pi if absorption.k_a1 > 0.0 else 0.0)
-    coupling, beta_floor, t_n = drive.coupling, drive.beta_floor, drive.t_n
-
-    def closed_loop_law(t, x, v, t_r):
-        w = omega_m + theta_ph * t_r
-        xc = x - fh_per_m * t_r / (w * w)
-        vn = v / omega_m
-        amp = math.hypot(xc, vn)
-        psi = math.atan2(-vn, xc) if amp > 0.0 else 0.0
-        mu_m = coupling * amp
-        if mu_m > 0.0:
-            beta = max(beta_floor, t_n / (2.0 * mu_m))
-        else:
-            beta = _BETA_FLAT
-        return l0 * comb_closed(psi + offset, min(beta, _BETA_FLAT))
-    return closed_loop_law
-
-
 def drive_intensity(drive: IntensityDrive, mech: MechParams,
                     absorption: AbsorptionModel, t: float, x: float,
                     v: float, t_r: float) -> float:
@@ -411,8 +374,106 @@ def drive_intensity(drive: IntensityDrive, mech: MechParams,
     oscillation phase is measured about the instantaneous thermal
     equilibrium x_eq = Theta_FH T_R/(m w^2), and the comb peak is placed at
     the turning point where A_H(x) is minimal (x > 0 side for k_A1 < 0).
+
+    This is the SI reference law, evaluated through
+    :func:`ringlock.comb.comb_closed`; :func:`simulate` runs its own
+    nondimensional copy of each mode's law, and the tests hold the two
+    together.
     """
-    return _intensity_law(drive, mech, absorption)(t, x, v, t_r)
+    if drive.mode == "cw":
+        return drive.l0
+    if drive.mode == "comb":
+        return drive.l0 * comb_closed(drive.omega_pulse * t + drive.phase,
+                                      drive.beta)
+    w = mech.omega_m + mech.theta_ph * t_r
+    xc = x - mech.theta_fh / mech.m_m * t_r / (w * w)
+    vn = v / mech.omega_m
+    amp = math.hypot(xc, vn)
+    psi = math.atan2(-vn, xc) if amp > 0.0 else 0.0
+    mu_m = drive.coupling * amp
+    if mu_m > 0.0:
+        beta = min(max(drive.beta_floor, drive.t_n / (2.0 * mu_m)),
+                   _BETA_FLAT)
+    else:
+        beta = _BETA_FLAT
+    offset = drive.phase - (math.pi if absorption.k_a1 > 0.0 else 0.0)
+    return drive.l0 * comb_closed(psi + offset, beta)
+
+
+def _rhs(drive: IntensityDrive, mech: MechParams, h_scale: float,
+         x_ref: float, t_ref: float, ka1: float, ka2: float, g: float,
+         kap: float, c_ph: float, c_fh: float):
+    """The nondimensional right-hand side (x', v', T_R') of one drive mode.
+
+    Each mode's drive law is written inline with its constants bound once,
+    so an RK4 stage is a single call.  The arithmetic follows
+    :func:`drive_intensity` operation for operation.  The drive's
+    constructor keeps every comb linewidth in the domain of
+    :func:`ringlock.comb.comb_closed`: the comb's beta, and the closed
+    loop's beta_floor, which with the cap at 30 bounds every stage's beta.
+    """
+    w0 = mech.omega_m
+    m2g = -2.0 * g
+    l0 = drive.l0
+    if drive.mode == "cw":
+        q = l0 * h_scale
+
+        def cw_rhs(tau, xs, ws, th):
+            freq = 1.0 + c_ph * th
+            return (ws,
+                    m2g * ws - freq * freq * xs + c_fh * th,
+                    q * (1.0 + ka1 * xs + ka2 * xs * xs) - kap * th)
+        return cw_rhs
+
+    if drive.mode == "comb":
+        omega_pulse, phase = drive.omega_pulse, drive.phase
+        sinh_b, cosh_b = math.sinh(drive.beta), math.cosh(drive.beta)
+
+        def comb_rhs(tau, xs, ws, th):
+            lh = l0 * (sinh_b
+                       / (cosh_b - cos(omega_pulse * (tau / w0) + phase)))
+            freq = 1.0 + c_ph * th
+            return (ws,
+                    m2g * ws - freq * freq * xs + c_fh * th,
+                    lh * h_scale * (1.0 + ka1 * xs + ka2 * xs * xs)
+                    - kap * th)
+        return comb_rhs
+
+    # closed_loop: phase and linewidth slaved to the mirror motion
+    theta_ph = mech.theta_ph
+    fh_per_m = mech.theta_fh / mech.m_m
+    v_ref = x_ref * w0
+    offset = drive.phase - (math.pi if ka1 > 0.0 else 0.0)
+    coupling, t_n = drive.coupling, drive.t_n
+    beta_floor = drive.beta_floor
+    floor = min(beta_floor, _BETA_FLAT)
+    sinh_floor, cosh_floor = math.sinh(floor), math.cosh(floor)
+    sinh_flat, cosh_flat = math.sinh(_BETA_FLAT), math.cosh(_BETA_FLAT)
+
+    def closed_loop_rhs(tau, xs, ws, th):
+        t_r = th * t_ref
+        w = w0 + theta_ph * t_r
+        xc = xs * x_ref - fh_per_m * t_r / (w * w)
+        vn = ws * v_ref / w0
+        amp = hypot(xc, vn)
+        psi = atan2(-vn, xc) if amp > 0.0 else 0.0
+        mu_m = coupling * amp
+        if mu_m > 0.0:
+            beta = t_n / (2.0 * mu_m)
+            if not beta > beta_floor:
+                sinh_b, cosh_b = sinh_floor, cosh_floor
+            elif _BETA_FLAT < beta:
+                sinh_b, cosh_b = sinh_flat, cosh_flat
+            else:
+                sinh_b, cosh_b = sinh(beta), cosh(beta)
+        else:
+            sinh_b, cosh_b = sinh_flat, cosh_flat
+        lh = l0 * (sinh_b / (cosh_b - cos(psi + offset)))
+        freq = 1.0 + c_ph * th
+        return (ws,
+                m2g * ws - freq * freq * xs + c_fh * th,
+                lh * h_scale * (1.0 + ka1 * xs + ka2 * xs * xs) - kap * th)
+    return closed_loop_rhs
 
 
 def simulate(mech: MechParams, absorption: AbsorptionModel,
@@ -423,7 +484,9 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
     The step must resolve the mechanical period: dt <= 2 pi/(50 w_m).
     Integration is carried out in nondimensional variables (time unit
     1/w_m, displacement unit 0.1/|k_A1|) and converted back to SI in the
-    returned trajectory, decimated by ``store_every``.
+    returned trajectory, decimated by ``store_every``.  Each drive mode has
+    one fused right-hand side, built once per run with the drive law
+    inline; :func:`drive_intensity` is the SI reference for that law.
 
     Above an instability threshold the linear growth is unbounded; the run
     halts with :class:`InstabilityError` once |k_A1 x| > 1 (the absorption
@@ -446,23 +509,14 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
         else 1.0
 
     # nondimensional coefficients
-    g = mech.gamma_m / w0
     kap = mech.kappa_m / w0
     c_ph = mech.theta_ph * t_ref / w0
     c_fh = mech.theta_fh * t_ref / (mech.m_m * x_ref * w0 * w0)
     ka1 = absorption.k_a1 * x_ref
-    ka2 = absorption.k_a2 * x_ref * x_ref
-    h_scale = absorption.a_h0 / (t_ref * w0)
-    v_ref = x_ref * w0
-    law = _intensity_law(drive, mech, absorption)
-
-    def rhs(tau, xs, ws, th):
-        lh = law(tau / w0, xs * x_ref, ws * v_ref, th * t_ref)
-        heat = lh * h_scale * (1.0 + ka1 * xs + ka2 * xs * xs)
-        freq = 1.0 + c_ph * th
-        return (ws,
-                -2.0 * g * ws - freq * freq * xs + c_fh * th,
-                heat - kap * th)
+    rhs = _rhs(drive, mech, h_scale=absorption.a_h0 / (t_ref * w0),
+               x_ref=x_ref, t_ref=t_ref, ka1=ka1,
+               ka2=absorption.k_a2 * x_ref * x_ref, g=mech.gamma_m / w0,
+               kap=kap, c_ph=c_ph, c_fh=c_fh)
 
     n_steps = int(round(t_end / dt))
     h = dt * w0

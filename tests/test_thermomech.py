@@ -318,11 +318,16 @@ def rk4_si_reference(mech, absorption, drive, x0, v0, dt, n):
 
 class TestSimulateReference:
     @pytest.mark.parametrize("mode,theta_ph", [
-        ("closed_loop", 0.0), ("closed_loop", -2e3), ("cw", -2e3),
-        ("comb", -2e3)])
+        ("closed_loop", 0.0), ("closed_loop", -2e3),
+        ("closed_loop_mid_beta", -2e3), ("closed_loop_at_rest", -2e3),
+        ("cw", -2e3), ("comb", -2e3)])
     def test_matches_si_rk4(self, mode, theta_ph):
         # the nondimensional RK4 of simulate() against the SI one: RK4
-        # commutes with rescaling time and state, so they agree to rounding
+        # commutes with rescaling time and state, so they agree to rounding.
+        # The closed loop's beta = t_n/(2 mu_M) sits at beta_floor for a
+        # coupling of 1e4 omega_m |k_A1| and near 0.5, between the floor and
+        # the flat cap 30, for omega_m |k_A1|; a start at rest has amplitude
+        # 0, so beta = 30 and psi = 0 at the first stage
         omega_m = 2 * np.pi * 4e5
         mech = MechParams(m_m=1e-12, omega_m=omega_m, gamma_m=0.05 * omega_m,
                           theta_ph=theta_ph, theta_fh=-1e-9,
@@ -331,14 +336,21 @@ class TestSimulateReference:
         t_n = 0.01 * omega_m
         a0 = t_n / (omega_m * abs(absorption.k_a1))
         l0 = 50.0   # T_R ~ 45 K in 4 cycles: a 3-4% thermal frequency shift
+        locked = IntensityDrive.closed_loop(
+            l0, 1e4 * omega_m * abs(absorption.k_a1), beta_floor=0.05,
+            t_n=t_n)
         drive = {
-            "closed_loop": IntensityDrive.closed_loop(
-                l0, 1e4 * omega_m * abs(absorption.k_a1), beta_floor=0.05,
+            "closed_loop": locked,
+            "closed_loop_mid_beta": IntensityDrive.closed_loop(
+                l0, omega_m * abs(absorption.k_a1), beta_floor=0.05,
                 t_n=t_n),
+            "closed_loop_at_rest": locked,
             "cw": IntensityDrive.cw(l0),
             "comb": IntensityDrive.comb(l0, beta=0.4,
                                         omega_pulse=0.31 * omega_m),
         }[mode]
+        if mode == "closed_loop_at_rest":
+            a0 = 0.0
         dt = 2 * np.pi / (500 * omega_m)
         n = 2000
         traj = simulate(mech, absorption, drive, x0=a0, v0=0.0,
