@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comb import comb_closed
-from .engine import SpectrumResult, rk4_step, welch_psd
+from .engine import (InsufficientDataError, SpectrumResult, rk4_step,
+                     welch_psd)
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,30 @@ class SpectrumMap:
     warnings: tuple = field(default_factory=tuple)
 
 
+def _default_segment_len(n_t: int) -> int:
+    """Welch segment length of :func:`pd_spectrum_sweep`: about an eighth
+    of the signal, rounded down to a power of two, and at least 4."""
+    return 2 ** int(np.floor(np.log2(max(n_t // 8, 4))))
+
+
+def constraint_findings(duration: float, sample_rate: float,
+                        segment_len: int | None = None) -> list[str]:
+    """Violations of a sweep's constraints beyond the signs of its
+    parameters; an empty list means valid.
+
+    The detector signal of int(duration*sample_rate) samples must hold one
+    Welch segment.  :func:`pd_spectrum_sweep` and the CLI's config
+    validation check it here.
+    """
+    n_t = int(duration * sample_rate)
+    if segment_len is None:
+        segment_len = _default_segment_len(n_t)
+    if n_t < segment_len:
+        return [f"the signal of {n_t} samples (duration*sample_rate) is "
+                f"shorter than one Welch segment of {segment_len}"]
+    return []
+
+
 def pd_spectrum_sweep(params_base: AdlerParams, v_am_grid,
                       duration: float, sample_rate: float,
                       segment_len: int | None = None) -> SpectrumMap:
@@ -195,9 +220,12 @@ def pd_spectrum_sweep(params_base: AdlerParams, v_am_grid,
     if duration <= 0.0 or sample_rate <= 0.0:
         raise ValueError("duration and sample_rate must be positive")
 
+    findings = constraint_findings(duration, sample_rate, segment_len)
+    if findings:
+        raise InsufficientDataError(findings[0])
     n_t = int(duration * sample_rate)
     if segment_len is None:
-        segment_len = 2 ** int(np.floor(np.log2(max(n_t // 8, 4))))
+        segment_len = _default_segment_len(n_t)
     t = np.arange(n_t) / sample_rate
 
     notes = []

@@ -160,8 +160,9 @@ class RunManifest:
 def validate_config(config: ExperimentConfig) -> list[str]:
     """Return all schema violations; an empty list means valid.
 
-    A lattice config that meets the schema is also checked against the
-    chain's own constraints (:func:`ringlock.lattice.constraint_findings`).
+    A config that meets the schema is also checked against the library's
+    own constraints (:func:`_constraint_findings`), so every input the run
+    would reject fails here.
     """
     findings = []
     schema = SCHEMAS.get(config.experiment)
@@ -212,10 +213,36 @@ def validate_config(config: ExperimentConfig) -> list[str]:
             findings.append(f"{key} must be positive")
         if spec.nonnegative and raw < 0:
             findings.append(f"{key} must be nonnegative")
-    if not findings and config.experiment == "lattice":
-        findings = lattice.constraint_findings(
-            _param(config, "n_modes"), _param(config, "mu_m"),
-            _param(config, "dt"), _param(config, "max_lag"))
+    if not findings:
+        findings = _constraint_findings(config)
+    return findings
+
+
+def _constraint_findings(config: ExperimentConfig) -> list[str]:
+    """The library's constraints on a schema-valid config, each defined
+    once in its module."""
+    experiment = config.experiment
+
+    def p(key):
+        return _param(config, key)
+
+    if experiment == "lattice":
+        return lattice.constraint_findings(p("n_modes"), p("mu_m"), p("dt"),
+                                           p("max_lag"))
+    if experiment == "comb":
+        return comb.constraint_findings(p("beta"))
+    if experiment == "pulse":
+        return pulses.constraint_findings(complex(p("g_m_re"), p("g_m_im")))
+    if experiment == "adler":
+        return adler.constraint_findings(p("duration"), p("sample_rate"))
+    if experiment == "noise":
+        return thermomech.noise_constraint_findings(p("g_oa"), p("n_pi"))
+    findings = thermomech.mech_constraint_findings(
+        p("m_m"), p("omega_m"), p("gamma_m"), p("kappa_m"))
+    findings += thermomech.step_constraint_findings(_threshold_dt(config),
+                                                    p("omega_m"))
+    if experiment == "mml":
+        findings += comb.constraint_findings(p("beta_floor"), "beta_floor")
     return findings
 
 
@@ -380,6 +407,13 @@ def _mech_from_config(config):
     return mech, absorption
 
 
+def _threshold_dt(config):
+    """The RK4 step of a seo/mml run: steps_per_cycle per mechanical
+    period."""
+    return 2.0 * np.pi / (_param(config, "steps_per_cycle")
+                          * _param(config, "omega_m"))
+
+
 def _threshold_drive(kind, config, l0):
     if kind == "seo":
         return thermomech.IntensityDrive.cw(l0)
@@ -437,6 +471,19 @@ def _run_threshold_experiment(config, manifest, out_dir, kind: str):
         manifest.derived["note"] = ("stabilizing sign combination: "
                                     "no finite threshold")
         return
+    # the steady thermal shift Theta_PH*T_R at the largest L0 probed: at
+    # -omega_m or below, simulate() halts every such probe on its
+    # thermal-frequency guard, so the classification says nothing
+    l0_max = l_star * max(_param(config, "l0_factor"),
+                          1.25 if _param(config, "search") else 0.0)
+    shift = mech.theta_ph * l0_max * absorption.a_h0 / mech.kappa_m
+    if shift <= -mech.omega_m:
+        manifest.derived["domain_note"] = (
+            f"at L0 = {l0_max:.6g} the steady thermal shift "
+            f"Theta_PH*L0*A_H0/kappa_m is {shift / mech.omega_m:.3g} omega_m,"
+            " outside the model's small-shift domain: a probe whose thermal"
+            " frequency omega_m + Theta_PH*T_R reaches zero halts there, and"
+            " its 'grew' marks that halt, not an instability")
     x0 = _param(config, "x0")
     if x0 is None:
         # canonical seeds: mode locking is probed at the amplitude where
@@ -446,7 +493,7 @@ def _run_threshold_experiment(config, manifest, out_dir, kind: str):
                                           * abs(absorption.k_a1))
         else:
             x0 = 1e-4 / abs(absorption.k_a1)
-    dt = 2.0 * np.pi / (_param(config, "steps_per_cycle") * mech.omega_m)
+    dt = _threshold_dt(config)
     t_end = _param(config, "n_cycles") * 2.0 * np.pi / mech.omega_m
     store_every = _param(config, "store_every")
 

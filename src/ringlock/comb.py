@@ -21,11 +21,27 @@ import numpy as np
 BETA_MIN = 1e-6
 
 
-def _check_beta(beta: float) -> None:
+def constraint_findings(beta: float, name: str = "beta") -> list[str]:
+    """Violations of the comb's linewidth domain, beta >= BETA_MIN; an
+    empty list means valid.
+
+    ``name`` is the parameter the finding reports, for a linewidth that a
+    caller knows by another name (the closed-loop drive's beta_floor).
+    Every comb function checks this through :func:`_check_beta`; the
+    drives of :mod:`ringlock.thermomech` and the CLI's config validation
+    check it here.
+    """
     if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+        return [f"{name} must be positive (got {beta})"]
     if beta < BETA_MIN:
-        raise ValueError(f"beta={beta} below supported minimum {BETA_MIN}")
+        return [f"{name} must be >= {BETA_MIN} (got {beta})"]
+    return []
+
+
+def _check_beta(beta: float) -> None:
+    findings = constraint_findings(beta)
+    if findings:
+        raise ValueError(findings[0])
 
 
 def comb_closed(s, beta: float):

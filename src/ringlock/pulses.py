@@ -123,6 +123,16 @@ def discrete_fixed_points(g_m: complex):
     return (-g_m * g_m + root) / 2.0, (-g_m * g_m - root) / 2.0
 
 
+def constraint_findings(g_m: complex) -> list[str]:
+    """Violations of the round-trip map's perturbative domain, |g_m| < 1;
+    an empty list means valid.  :func:`roundtrip_iterate` and the CLI's
+    config validation check it here.
+    """
+    if not abs(g_m) < 1.0:
+        return [f"|g_m| must be < 1 (got {abs(g_m):g})"]
+    return []
+
+
 def roundtrip_iterate(g0: complex, g_m: complex, n: int) -> np.ndarray:
     """Iterate the normalized round-trip map n times.
 
@@ -132,8 +142,9 @@ def roundtrip_iterate(g0: complex, g_m: complex, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not abs(g_m) < 1.0:
-        raise ValueError("|g_m| must be < 1")
+    findings = constraint_findings(g_m)
+    if findings:
+        raise ValueError(findings[0])
     out = np.empty(n + 1, dtype=complex)
     g = complex(g0)
     out[0] = g

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import comb
 from .comb import comb_closed
 from .engine import InsufficientDataError
 
@@ -57,6 +58,53 @@ class InstabilityError(RuntimeError):
         self.trajectory = trajectory
 
 
+# fewest RK4 steps per mechanical period that simulate() accepts
+MIN_STEPS_PER_CYCLE = 50
+
+
+def mech_constraint_findings(m_m: float, omega_m: float, gamma_m: float,
+                             kappa_m: float) -> list[str]:
+    """Violations of :class:`MechParams`' constraints; an empty list means
+    valid.  The constructor and the CLI's config validation check them
+    here.
+    """
+    findings = []
+    if not (m_m > 0.0 and omega_m > 0.0):
+        findings.append("mass and frequency must be positive")
+    elif not 0.0 <= gamma_m < 0.1 * omega_m:
+        findings.append(f"require gamma_m < 0.1*omega_m (weak damping; got "
+                        f"gamma_m/omega_m = {gamma_m / omega_m:g})")
+    if not kappa_m > 0.0:
+        findings.append("kappa_m must be positive")
+    return findings
+
+
+def step_constraint_findings(dt: float, omega_m: float) -> list[str]:
+    """Violations of :func:`simulate`'s step constraint: the RK4 step must
+    resolve the mechanical period, dt <= 2 pi/(50 omega_m).  An empty list
+    means valid; ``simulate`` and the CLI's config validation check it
+    here.
+    """
+    if dt <= 0.0 or dt > 2.0 * np.pi / (MIN_STEPS_PER_CYCLE * omega_m):
+        return [f"require 0 < dt <= 2*pi/({MIN_STEPS_PER_CYCLE}*omega_m): "
+                f"at least {MIN_STEPS_PER_CYCLE} steps per mechanical "
+                f"period (got {2.0 * np.pi / (dt * omega_m):.6g})"]
+    return []
+
+
+def noise_constraint_findings(g_oa: float, n_pi: float) -> list[str]:
+    """Violations of :class:`NoiseChain`'s amplifier constraints beyond the
+    signs of its parameters; an empty list means valid.  The constructor
+    and the CLI's config validation check them here.
+    """
+    findings = []
+    if not g_oa > 1.0:
+        findings.append(f"g_oa must exceed 1 (got {g_oa:g})")
+    if not n_pi >= 1.0:
+        findings.append(f"n_pi must be >= 1 (got {n_pi:g})")
+    return findings
+
+
 @dataclass(frozen=True)
 class MechParams:
     """Mechanical, thermal-coupling, and relaxation parameters (SI)."""
@@ -69,12 +117,10 @@ class MechParams:
     kappa_m: float    # 1/s, thermal decay rate
 
     def __post_init__(self):
-        if self.m_m <= 0.0 or self.omega_m <= 0.0:
-            raise ValueError("mass and frequency must be positive")
-        if not 0.0 <= self.gamma_m < 0.1 * self.omega_m:
-            raise ValueError("require gamma_m < 0.1*omega_m (weak damping)")
-        if self.kappa_m <= 0.0:
-            raise ValueError("kappa_m must be positive")
+        findings = mech_constraint_findings(self.m_m, self.omega_m,
+                                            self.gamma_m, self.kappa_m)
+        if findings:
+            raise ValueError("; ".join(findings))
 
 
 def aluminum_device(m_m: float, omega_m: float, gamma_m: float,
@@ -139,14 +185,20 @@ class IntensityDrive:
             raise ValueError("l0 must be nonnegative")
         if self.mode not in ("cw", "comb", "closed_loop"):
             raise ValueError(f"unknown drive mode {self.mode!r}")
-        if self.mode == "comb" and self.beta <= 0.0:
-            raise ValueError("comb drive requires beta > 0")
+        if self.mode == "comb":
+            findings = comb.constraint_findings(self.beta)
+            if findings:
+                raise ValueError("comb drive: " + findings[0])
         if self.mode == "closed_loop":
             if self.coupling < 0.0:
                 raise ValueError("coupling must be nonnegative")
-            if self.beta_floor <= 0.0 or self.t_n <= 0.0:
-                raise ValueError(
-                    "closed_loop drive requires beta_floor > 0 and t_n > 0")
+            if self.t_n <= 0.0:
+                raise ValueError("closed_loop drive requires t_n > 0")
+            # with the cap at 30, the floor bounds every beta of the law
+            findings = comb.constraint_findings(self.beta_floor,
+                                                "beta_floor")
+            if findings:
+                raise ValueError("closed_loop drive: " + findings[0])
 
     @classmethod
     def cw(cls, l0: float) -> "IntensityDrive":
@@ -180,10 +232,9 @@ class NoiseChain:
     omega_p: float       # rad/s, optical carrier
 
     def __post_init__(self):
-        if self.g_oa <= 1.0:
-            raise ValueError("g_oa must exceed 1")
-        if self.n_pi < 1.0:
-            raise ValueError("n_pi must be >= 1")
+        findings = noise_constraint_findings(self.g_oa, self.n_pi)
+        if findings:
+            raise ValueError("; ".join(findings))
         if min(self.lambda_l, self.delta_lambda, self.l_r) <= 0.0:
             raise ValueError("lengths must be positive")
 
@@ -495,8 +546,9 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
     the closed-loop law's x_eq is singular there), or once the state stops
     being finite.
     """
-    if dt <= 0.0 or dt > 2.0 * np.pi / (50.0 * mech.omega_m):
-        raise ValueError("require 0 < dt <= 2*pi/(50*omega_m)")
+    findings = step_constraint_findings(dt, mech.omega_m)
+    if findings:
+        raise ValueError(findings[0])
     if t_end <= dt:
         raise ValueError("t_end must exceed dt")
     if store_every < 1:

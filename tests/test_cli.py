@@ -209,6 +209,31 @@ class TestRunExperiment:
         assert manifest.derived["threshold_formula"] == np.inf
         assert "note" in manifest.derived
 
+    def test_threshold_domain_note(self, tmp_path):
+        # an mml search whose steady thermal shift Theta_PH*L0*A_H0/kappa_m
+        # passes -omega_m: every probe halts on simulate's thermal-frequency
+        # guard, so the manifest says the classification means nothing
+        omega_m, k_a1 = 2676900.3047668235, 5303.763062172119
+        params = {
+            "m_m": 7.275653842932221e-13, "omega_m": omega_m,
+            "gamma_m": 0.05 * omega_m, "kappa_m": 0.01 * omega_m,
+            "theta_ph": -2e3, "theta_fh": -7.275653842932221e-10,
+            "a_h0": 51276.28837468889, "k_a1": -k_a1,
+            "t_n": 0.01 * omega_m, "coupling": 1e4 * omega_m * k_a1,
+            "beta_floor": 0.05, "n_cycles": 16, "steps_per_cycle": 500,
+            "store_every": 10, "search": True, "search_rtol": 0.05}
+        derived = run_experiment(ExperimentConfig(
+            "mml", params, 0, tmp_path / "hot")).derived
+        assert "domain_note" in derived
+        assert "-63.4 omega_m" in derived["domain_note"]
+        assert derived["halted_at"] == 0.0
+        assert "threshold_bracket" not in derived
+        # at Theta_PH = 0 the shift is zero: no note, and a bracket
+        derived = run_experiment(ExperimentConfig(
+            "mml", dict(params, theta_ph=0.0), 0, tmp_path / "cold")).derived
+        assert "domain_note" not in derived
+        assert "threshold_bracket" in derived
+
     def test_lattice_trajectory_table(self, tmp_path):
         params = dict(LATTICE_PARAMS, n_steps=5000, store_trajectory=True,
                       traj_every=500)
@@ -234,42 +259,55 @@ class TestMainEntry:
         missing = tmp_path / "nope.json"
         assert main(["run", str(missing)]) == 2
 
-        # a NaN parameter, an unknown enum value or a lattice constraint
-        # fails before running
-        for name, payload in (
+        # a NaN parameter, an unknown enum value or a constraint the
+        # library checks during the run fails at validate, before running
+        mml = dict(TestRunExperiment.SEO_BASE, k_a1=-1e4, t_n=2.5e4,
+                   coupling=2.5e14, beta_floor=0.05)
+        assert validate_config(ExperimentConfig("mml", mml, 0, tmp_path)) \
+            == []
+        for name, payload, key in (
                 ("nan.json", {"experiment": "seo", "parameters": dict(
-                    TestRunExperiment.SEO_BASE, k_a1=float("nan"))}),
+                    TestRunExperiment.SEO_BASE, k_a1=float("nan"))}, "k_a1"),
                 ("enum.json", {"experiment": "lattice", "parameters": dict(
-                    LATTICE_PARAMS, boundary="perodic")}),
+                    LATTICE_PARAMS, boundary="perodic")}, "boundary"),
                 ("euler.json", {"experiment": "lattice", "parameters": dict(
-                    LATTICE_PARAMS, dt=0.5, mu_m=1.0)}),
+                    LATTICE_PARAMS, dt=0.5, mu_m=1.0)}, "dt*mu_m"),
                 ("short.json", {"experiment": "lattice", "parameters": dict(
-                    LATTICE_PARAMS, n_modes=2, max_lag=1)}),
+                    LATTICE_PARAMS, n_modes=2, max_lag=1)}, "n_modes"),
                 ("lag.json", {"experiment": "lattice", "parameters": dict(
-                    LATTICE_PARAMS, max_lag=9, n_modes=8)})):
+                    LATTICE_PARAMS, max_lag=9, n_modes=8)}, "max_lag"),
+                ("pulse.json", {"experiment": "pulse", "parameters": {
+                    "g_m_re": 1.5, "n": 10}}, "|g_m|"),
+                ("comb.json", {"experiment": "comb", "parameters": {
+                    "beta": 1e-8}}, "beta"),
+                ("noise.json", {"experiment": "noise", "parameters": dict(
+                    NOISE_PARAMS, g_oa=0.5)}, "g_oa"),
+                ("n_pi.json", {"experiment": "noise", "parameters": dict(
+                    NOISE_PARAMS, n_pi=0.5)}, "n_pi"),
+                ("seo.json", {"experiment": "seo", "parameters": dict(
+                    TestRunExperiment.SEO_BASE, steps_per_cycle=20)},
+                 "steps per mechanical period"),
+                ("damping.json", {"experiment": "seo", "parameters": dict(
+                    TestRunExperiment.SEO_BASE,
+                    gamma_m=0.2 * TestRunExperiment.SEO_BASE["omega_m"])},
+                 "gamma_m"),
+                ("mml_step.json", {"experiment": "mml", "parameters": dict(
+                    mml, steps_per_cycle=49)}, "steps per mechanical period"),
+                ("floor.json", {"experiment": "mml", "parameters": dict(
+                    mml, beta_floor=1e-7)}, "beta_floor"),
+                ("adler.json", {"experiment": "adler", "parameters": dict(
+                    ADLER_PARAMS, duration=0.001, sample_rate=1000.0)},
+                 "Welch segment")):
             path = write_config(tmp_path, payload, name)
             out = tmp_path / name.replace(".json", "_out")
+            capsys.readouterr()
             assert main(["validate", str(path)]) == 2, name
+            findings = capsys.readouterr().out
+            assert key in findings, (name, findings)
             assert main(["run", str(path), "--out", str(out)]) == 2, name
             assert not out.exists(), name
-
-        # constraints the schema does not express fail in the run with
-        # exit 2 as well, before any manifest is written
-        capsys.readouterr()
-        for experiment, params in (
-                ("pulse", {"g_m_re": 1.5, "n": 10}),
-                ("comb", {"beta": 1e-8}),
-                ("noise", dict(NOISE_PARAMS, g_oa=0.5)),
-                ("seo", dict(TestRunExperiment.SEO_BASE, steps_per_cycle=20)),
-                ("adler", dict(ADLER_PARAMS, duration=0.001,
-                               sample_rate=1000.0))):
-            path = write_config(tmp_path, {"experiment": experiment,
-                                           "parameters": params}, "c.json")
-            out = tmp_path / "constraint_out"
-            assert main(["run", str(path), "--out", str(out)]) == 2, params
-            assert not (out / f"{experiment}_manifest.json").exists()
             err = capsys.readouterr().err
-            assert err.startswith("error: invalid config: "), err
+            assert err.startswith("finding: "), err
             assert "Traceback" not in err
 
     def test_run_path_imports_no_scipy(self, tmp_path):
