@@ -7,7 +7,9 @@ The closed form is
               = sum_k exp(i*k*s - |k|*beta),
 
 a strictly positive, 2*pi-periodic pulse train with unit mean and Fourier
-coefficients exp(-|k|*beta).  Small beta gives sharp pulses (peak ~ 2/beta),
+coefficients exp(-|k|*beta).  Since cosh(beta) - cos(s) equals
+2 sinh^2(beta/2) + 2 sin^2(s/2), the closed form is evaluated with no
+cancellation near the peak.  Small beta gives sharp pulses (peak ~ 2/beta),
 large beta a flat profile.  The truncated series doubles as an independent
 oracle for the closed form; the geometric tail bound makes the truncation
 error certifiable.
@@ -47,16 +49,22 @@ def _check_beta(beta: float) -> None:
 def comb_closed(s, beta: float):
     """Closed-form comb function sinh(beta)/(cosh(beta) - cos(s)).
 
+    The denominator is evaluated as 2 sinh^2(beta/2) + 2 sin^2(s/2), the
+    same function free of the cancellation in cosh(beta) - cos(s), which
+    near the peak at small beta cost up to 2 eps/beta^2 of relative
+    accuracy; the peak coth(beta/2) now comes out within a few ulp.
+
     Strictly positive and 2*pi-periodic in ``s``; accepts scalars or arrays.
     A Python float ``s`` (``np.float64`` is one) takes a ``math`` path and
     returns a Python float, free of numpy's per-call scalar overhead in time
-    loops.  The paths agree to rounding, which the cancellation in
-    cosh(beta) - cos(s) magnifies near the peak at small beta.
+    loops.  The paths agree to a few ulp.
     """
     _check_beta(beta)
     if isinstance(s, float):
-        return math.sinh(beta) / (math.cosh(beta) - math.cos(s))
-    return np.sinh(beta) / (np.cosh(beta) - np.cos(s))
+        sh, sn = math.sinh(0.5 * beta), math.sin(0.5 * s)
+        return math.sinh(beta) / (2.0 * (sh * sh + sn * sn))
+    sh, sn = np.sinh(0.5 * beta), np.sin(0.5 * np.asarray(s))
+    return np.sinh(beta) / (2.0 * (sh * sh + sn * sn))
 
 
 def comb_series(s, beta: float, K: int):

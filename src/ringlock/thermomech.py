@@ -28,7 +28,7 @@ SI.
 """
 
 import math
-from math import atan2, cos, cosh, hypot, sinh
+from math import atan2, hypot, sin, sinh
 from dataclasses import dataclass
 
 import numpy as np
@@ -451,6 +451,13 @@ def drive_intensity(drive: IntensityDrive, mech: MechParams,
     return drive.l0 * comb_closed(psi + offset, beta)
 
 
+def _comb_constants(beta: float):
+    """(sinh(beta), sinh(beta/2)^2): the factors of the comb function
+    :func:`ringlock.comb.comb_closed` that do not depend on its phase."""
+    sh = math.sinh(0.5 * beta)
+    return math.sinh(beta), sh * sh
+
+
 def _rhs(drive: IntensityDrive, mech: MechParams, h_scale: float,
          x_ref: float, t_ref: float, ka1: float, ka2: float, g: float,
          kap: float, c_ph: float, c_fh: float):
@@ -478,11 +485,11 @@ def _rhs(drive: IntensityDrive, mech: MechParams, h_scale: float,
 
     if drive.mode == "comb":
         omega_pulse, phase = drive.omega_pulse, drive.phase
-        sinh_b, cosh_b = math.sinh(drive.beta), math.cosh(drive.beta)
+        sinh_b, sh2 = _comb_constants(drive.beta)
 
         def comb_rhs(tau, xs, ws, th):
-            lh = l0 * (sinh_b
-                       / (cosh_b - cos(omega_pulse * (tau / w0) + phase)))
+            sn = sin(0.5 * (omega_pulse * (tau / w0) + phase))
+            lh = l0 * (sinh_b / (2.0 * (sh2 + sn * sn)))
             freq = 1.0 + c_ph * th
             return (ws,
                     m2g * ws - freq * freq * xs + c_fh * th,
@@ -497,9 +504,8 @@ def _rhs(drive: IntensityDrive, mech: MechParams, h_scale: float,
     offset = drive.phase - (math.pi if ka1 > 0.0 else 0.0)
     coupling, t_n = drive.coupling, drive.t_n
     beta_floor = drive.beta_floor
-    floor = min(beta_floor, _BETA_FLAT)
-    sinh_floor, cosh_floor = math.sinh(floor), math.cosh(floor)
-    sinh_flat, cosh_flat = math.sinh(_BETA_FLAT), math.cosh(_BETA_FLAT)
+    sinh_floor, sh2_floor = _comb_constants(min(beta_floor, _BETA_FLAT))
+    sinh_flat, sh2_flat = _comb_constants(_BETA_FLAT)
 
     def closed_loop_rhs(tau, xs, ws, th):
         t_r = th * t_ref
@@ -512,14 +518,16 @@ def _rhs(drive: IntensityDrive, mech: MechParams, h_scale: float,
         if mu_m > 0.0:
             beta = t_n / (2.0 * mu_m)
             if not beta > beta_floor:
-                sinh_b, cosh_b = sinh_floor, cosh_floor
+                sinh_b, sh2 = sinh_floor, sh2_floor
             elif _BETA_FLAT < beta:
-                sinh_b, cosh_b = sinh_flat, cosh_flat
+                sinh_b, sh2 = sinh_flat, sh2_flat
             else:
-                sinh_b, cosh_b = sinh(beta), cosh(beta)
+                sh = sinh(0.5 * beta)
+                sinh_b, sh2 = sinh(beta), sh * sh
         else:
-            sinh_b, cosh_b = sinh_flat, cosh_flat
-        lh = l0 * (sinh_b / (cosh_b - cos(psi + offset)))
+            sinh_b, sh2 = sinh_flat, sh2_flat
+        sn = sin(0.5 * (psi + offset))
+        lh = l0 * (sinh_b / (2.0 * (sh2 + sn * sn)))
         freq = 1.0 + c_ph * th
         return (ws,
                 m2g * ws - freq * freq * xs + c_fh * th,

@@ -69,12 +69,21 @@ class TestClosedForm:
         for beta in (1e-6, 1e-3, 0.05, 1.0, 30.0):
             array = comb_closed(s, beta)
             scalar = np.array([comb_closed(float(si), beta) for si in s])
-            # 2 ulp, plus one ulp of cosh(beta) (numpy's vectorised cosh
-            # and the C library's may differ by one) carried through the
-            # cancellation in cosh(beta) - cos(s)
-            cond = math.cosh(beta) / (math.cosh(beta) - np.cos(s))
-            tol = 2.0 * np.spacing(array) * (1.0 + 2.0 * cond)
-            assert np.all(np.abs(scalar - array) <= tol), beta
+            # the denominator 2 sinh^2(beta/2) + 2 sin^2(s/2) has no
+            # cancellation: numpy's vectorised sinh and sin and the C
+            # library's may differ by an ulp each, doubled by the squares
+            assert np.all(np.abs(scalar - array)
+                          <= 8.0 * np.spacing(array)), beta
+
+    def test_peak_within_few_ulp_at_small_beta(self):
+        # the peak coth(beta/2) = 1 + 2/expm1(beta) (expm1 is accurate to
+        # an ulp); cosh(beta) - cos(0) lost 2 eps/beta^2 to cancellation
+        for beta in (1e-6, 1e-3, 0.05, 0.4, 30.0):
+            want = 1.0 + 2.0 / math.expm1(beta)
+            for got in (comb_closed(0.0, beta),
+                        float(comb_closed(np.zeros(1), beta)[0])):
+                assert abs(got - want) <= 4.0 * math.ulp(want), \
+                    (beta, (got - want) / math.ulp(want))
 
 
 class TestSeries:
