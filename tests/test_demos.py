@@ -16,10 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_demos_found():
-    assert DEMOS
-
-
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
