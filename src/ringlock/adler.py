@@ -193,9 +193,20 @@ def constraint_findings(duration: float, sample_rate: float,
     Welch segment.  :func:`pd_spectrum_sweep` and the CLI's config
     validation check it here.
     """
+    return _segment_findings(*_signal_shape(duration, sample_rate,
+                                            segment_len))
+
+
+def _signal_shape(duration: float, sample_rate: float,
+                  segment_len: int | None):
+    """(samples, Welch segment length) of a sweep's detector signal."""
     n_t = int(duration * sample_rate)
     if segment_len is None:
         segment_len = _default_segment_len(n_t)
+    return n_t, segment_len
+
+
+def _segment_findings(n_t: int, segment_len: int) -> list[str]:
     if n_t < segment_len:
         return [f"the signal of {n_t} samples (duration*sample_rate) is "
                 f"shorter than one Welch segment of {segment_len}"]
@@ -220,12 +231,10 @@ def pd_spectrum_sweep(params_base: AdlerParams, v_am_grid,
     if duration <= 0.0 or sample_rate <= 0.0:
         raise ValueError("duration and sample_rate must be positive")
 
-    findings = constraint_findings(duration, sample_rate, segment_len)
+    n_t, segment_len = _signal_shape(duration, sample_rate, segment_len)
+    findings = _segment_findings(n_t, segment_len)
     if findings:
         raise InsufficientDataError(findings[0])
-    n_t = int(duration * sample_rate)
-    if segment_len is None:
-        segment_len = _default_segment_len(n_t)
     t = np.arange(n_t) / sample_rate
 
     notes = []

@@ -46,6 +46,17 @@ def _check_beta(beta: float) -> None:
         raise ValueError(findings[0])
 
 
+def closed_factors(beta: float):
+    """(sinh(beta), sinh(beta/2)^2): the factors of :func:`comb_closed`
+    that do not depend on the phase ``s``.
+
+    Time loops that evaluate the comb at many phases for one ``beta`` bind
+    them once; the caller checks ``beta``'s domain.
+    """
+    sh = math.sinh(0.5 * beta)
+    return math.sinh(beta), sh * sh
+
+
 def comb_closed(s, beta: float):
     """Closed-form comb function sinh(beta)/(cosh(beta) - cos(s)).
 
@@ -61,8 +72,9 @@ def comb_closed(s, beta: float):
     """
     _check_beta(beta)
     if isinstance(s, float):
-        sh, sn = math.sinh(0.5 * beta), math.sin(0.5 * s)
-        return math.sinh(beta) / (2.0 * (sh * sh + sn * sn))
+        sinh_b, sh2 = closed_factors(beta)
+        sn = math.sin(0.5 * s)
+        return sinh_b / (2.0 * (sh2 + sn * sn))
     sh, sn = np.sinh(0.5 * beta), np.sin(0.5 * np.asarray(s))
     return np.sinh(beta) / (2.0 * (sh * sh + sn * sn))
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import comb
-from .comb import comb_closed
+from .comb import closed_factors, comb_closed
 from .engine import InsufficientDataError
 
 HBAR = 1.054571817e-34  # J s
@@ -97,12 +97,18 @@ def noise_constraint_findings(g_oa: float, n_pi: float) -> list[str]:
     signs of its parameters; an empty list means valid.  The constructor
     and the CLI's config validation check them here.
     """
-    findings = []
-    if not g_oa > 1.0:
-        findings.append(f"g_oa must exceed 1 (got {g_oa:g})")
+    findings = _gain_findings(g_oa)
     if not n_pi >= 1.0:
         findings.append(f"n_pi must be >= 1 (got {n_pi:g})")
     return findings
+
+
+def _gain_findings(g_oa: float) -> list[str]:
+    """The amplifier gain's finding, g_oa > 1, which :func:`noise_figure`
+    also needs."""
+    if not g_oa > 1.0:
+        return [f"g_oa must exceed 1 (got {g_oa:g})"]
+    return []
 
 
 @dataclass(frozen=True)
@@ -342,8 +348,9 @@ def mml_threshold(mech: MechParams, absorption: AbsorptionModel,
 
 def noise_figure(g_oa: float, n_pi: float) -> float:
     """Amplifier noise figure 2 n_PI (G - 1) / G."""
-    if g_oa <= 1.0:
-        raise ValueError("g_oa must exceed 1")
+    findings = _gain_findings(g_oa)
+    if findings:
+        raise ValueError(findings[0])
     return 2.0 * n_pi * (g_oa - 1.0) / g_oa
 
 
@@ -451,13 +458,6 @@ def drive_intensity(drive: IntensityDrive, mech: MechParams,
     return drive.l0 * comb_closed(psi + offset, beta)
 
 
-def _comb_constants(beta: float):
-    """(sinh(beta), sinh(beta/2)^2): the factors of the comb function
-    :func:`ringlock.comb.comb_closed` that do not depend on its phase."""
-    sh = math.sinh(0.5 * beta)
-    return math.sinh(beta), sh * sh
-
-
 def _rhs(drive: IntensityDrive, mech: MechParams, h_scale: float,
          x_ref: float, t_ref: float, ka1: float, ka2: float, g: float,
          kap: float, c_ph: float, c_fh: float):
@@ -485,7 +485,7 @@ def _rhs(drive: IntensityDrive, mech: MechParams, h_scale: float,
 
     if drive.mode == "comb":
         omega_pulse, phase = drive.omega_pulse, drive.phase
-        sinh_b, sh2 = _comb_constants(drive.beta)
+        sinh_b, sh2 = closed_factors(drive.beta)
 
         def comb_rhs(tau, xs, ws, th):
             sn = sin(0.5 * (omega_pulse * (tau / w0) + phase))
@@ -504,8 +504,8 @@ def _rhs(drive: IntensityDrive, mech: MechParams, h_scale: float,
     offset = drive.phase - (math.pi if ka1 > 0.0 else 0.0)
     coupling, t_n = drive.coupling, drive.t_n
     beta_floor = drive.beta_floor
-    sinh_floor, sh2_floor = _comb_constants(min(beta_floor, _BETA_FLAT))
-    sinh_flat, sh2_flat = _comb_constants(_BETA_FLAT)
+    sinh_floor, sh2_floor = closed_factors(min(beta_floor, _BETA_FLAT))
+    sinh_flat, sh2_flat = closed_factors(_BETA_FLAT)
 
     def closed_loop_rhs(tau, xs, ws, th):
         t_r = th * t_ref
@@ -521,7 +521,7 @@ def _rhs(drive: IntensityDrive, mech: MechParams, h_scale: float,
                 sinh_b, sh2 = sinh_floor, sh2_floor
             elif _BETA_FLAT < beta:
                 sinh_b, sh2 = sinh_flat, sh2_flat
-            else:
+            else:   # closed_factors(beta), inline to save a call
                 sh = sinh(0.5 * beta)
                 sinh_b, sh2 = sinh(beta), sh * sh
         else:

@@ -310,6 +310,24 @@ class TestMainEntry:
             assert err.startswith("finding: "), err
             assert "Traceback" not in err
 
+    def test_run_value_error_is_invalid_config(self, tmp_path, capsys,
+                                               monkeypatch):
+        # a ValueError the library raises during the run, past validate,
+        # is reported as an invalid config without a traceback
+        import ringlock.cli as cli
+
+        def refuse(config):
+            raise ValueError("a constraint only the run checks")
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        cfg = write_config(tmp_path, {
+            "experiment": "comb", "parameters": {"beta": 0.2}})
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: "), err
+        assert "Traceback" not in err
+        assert not (out / "comb_manifest.json").exists()
+
     def test_run_path_imports_no_scipy(self, tmp_path):
         # scipy serves the tests only: a fresh interpreter that imports the
         # CLI and runs a spectrum experiment never loads it

@@ -70,10 +70,11 @@ class TestClosedForm:
             array = comb_closed(s, beta)
             scalar = np.array([comb_closed(float(si), beta) for si in s])
             # the denominator 2 sinh^2(beta/2) + 2 sin^2(s/2) has no
-            # cancellation: numpy's vectorised sinh and sin and the C
-            # library's may differ by an ulp each, doubled by the squares
+            # cancellation: numpy's vectorised sinh and the C library's
+            # may differ by an ulp, doubled by the square and again by
+            # counting in units of spacing(array)
             assert np.all(np.abs(scalar - array)
-                          <= 8.0 * np.spacing(array)), beta
+                          <= 4.0 * np.spacing(array)), beta
 
     def test_peak_within_few_ulp_at_small_beta(self):
         # the peak coth(beta/2) = 1 + 2/expm1(beta) (expm1 is accurate to
