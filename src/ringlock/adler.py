@@ -58,6 +58,9 @@ class AdlerParams:
     def from_threshold(cls, omega_am: float, omega_r: float, v_am0: float,
                        v_am: float) -> "AdlerParams":
         """Calibrate zeta_AM from a measured synchronization threshold."""
+        findings = _detuning_findings(omega_am, omega_r)
+        if findings:
+            raise ValueError(findings[0])
         return cls(omega_am=omega_am, omega_r=omega_r,
                    zeta_am=(omega_am - omega_r) / v_am0,
                    v_am=v_am, v_am0=v_am0)
@@ -184,17 +187,28 @@ def _default_segment_len(n_t: int) -> int:
     return 2 ** int(np.floor(np.log2(max(n_t // 8, 4))))
 
 
-def constraint_findings(duration: float, sample_rate: float,
+def constraint_findings(omega_am: float, omega_r: float, duration: float,
+                        sample_rate: float,
                         segment_len: int | None = None) -> list[str]:
-    """Violations of a sweep's constraints beyond the signs of its
-    parameters; an empty list means valid.
+    """Violations of a threshold-calibrated sweep's constraints beyond the
+    signs of its parameters; an empty list means valid.
 
-    The detector signal of int(duration*sample_rate) samples must hold one
-    Welch segment.  :func:`pd_spectrum_sweep` and the CLI's config
-    validation check it here.
+    The detuning must be nonzero (:meth:`AdlerParams.from_threshold`
+    checks it), and the detector signal of int(duration*sample_rate)
+    samples must hold one Welch segment (:func:`pd_spectrum_sweep` checks
+    it).  The CLI's config validation checks both here.
     """
-    return _segment_findings(*_signal_shape(duration, sample_rate,
-                                            segment_len))
+    return _detuning_findings(omega_am, omega_r) + _segment_findings(
+        *_signal_shape(duration, sample_rate, segment_len))
+
+
+def _detuning_findings(omega_am: float, omega_r: float) -> list[str]:
+    """The calibration's finding: at omega_am == omega_r, zeta_AM =
+    (omega_am - omega_r)/V_AM,0 is zero and every i_b is 0/0."""
+    if omega_am == omega_r:
+        return [f"omega_am must differ from omega_r (both {omega_am:g}): "
+                "zero detuning leaves zeta_am = 0 and i_b undefined"]
+    return []
 
 
 def _signal_shape(duration: float, sample_rate: float,

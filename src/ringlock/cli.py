@@ -164,20 +164,29 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     own constraints (:func:`_constraint_findings`), so every input the run
     would reject fails here.
     """
-    findings = []
+    return _parse(config)[1]
+
+
+def _parse(config: ExperimentConfig) -> tuple[dict, list[str]]:
+    """(values, findings): the one reading of a config's parameters.
+
+    ``values`` maps every schema key to its value, unwrapped from a
+    ``{"value", "unit"}`` record, cast to its spec's kind and defaulted
+    when absent; it is complete only when ``findings`` is empty.
+    """
     schema = SCHEMAS.get(config.experiment)
     if schema is None:
-        return [f"unknown experiment {config.experiment!r}; choose from "
-                + ", ".join(sorted(SCHEMAS))]
+        return {}, [f"unknown experiment {config.experiment!r}; choose from "
+                    + ", ".join(sorted(SCHEMAS))]
     params = config.parameters
-    for key in params:
-        if key not in schema:
-            findings.append(f"unknown key {key!r}")
+    findings = [f"unknown key {key!r}" for key in params if key not in schema]
+    values = {}
     for key, spec in schema.items():
         if key not in params:
             if spec.required:
                 findings.append(f"required key {key!r} absent "
                                 f"(unit: {spec.unit})")
+            values[key] = spec.default
             continue
         raw = params[key]
         if isinstance(raw, dict):
@@ -192,6 +201,7 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         if spec.kind is bool:
             if not isinstance(raw, bool):
                 findings.append(f"{key}: expected a boolean")
+            values[key] = raw
             continue
         if spec.kind is str:
             if not isinstance(raw, str):
@@ -199,6 +209,7 @@ def validate_config(config: ExperimentConfig) -> list[str]:
             elif spec.choices and raw not in spec.choices:
                 findings.append(f"{key}: {raw!r} is not one of "
                                 + ", ".join(spec.choices))
+            values[key] = raw
             continue
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             findings.append(f"{key}: expected a number")
@@ -213,49 +224,34 @@ def validate_config(config: ExperimentConfig) -> list[str]:
             findings.append(f"{key} must be positive")
         if spec.nonnegative and raw < 0:
             findings.append(f"{key} must be nonnegative")
+        values[key] = spec.kind(raw)
     if not findings:
-        findings = _constraint_findings(config)
-    return findings
+        findings = _constraint_findings(config.experiment, values)
+    return values, findings
 
 
-def _constraint_findings(config: ExperimentConfig) -> list[str]:
-    """The library's constraints on a schema-valid config, each defined
-    once in its module."""
-    experiment = config.experiment
-
-    def p(key):
-        return _param(config, key)
-
+def _constraint_findings(experiment: str, p: dict) -> list[str]:
+    """The library's constraints on a schema-valid config's values, each
+    defined once in its module."""
     if experiment == "lattice":
-        return lattice.constraint_findings(p("n_modes"), p("mu_m"), p("dt"),
-                                           p("max_lag"))
+        return lattice.constraint_findings(p["n_modes"], p["mu_m"], p["dt"],
+                                           p["max_lag"])
     if experiment == "comb":
-        return comb.constraint_findings(p("beta"))
+        return comb.constraint_findings(p["beta"])
     if experiment == "pulse":
-        return pulses.constraint_findings(complex(p("g_m_re"), p("g_m_im")))
+        return pulses.constraint_findings(complex(p["g_m_re"], p["g_m_im"]))
     if experiment == "adler":
-        return adler.constraint_findings(p("duration"), p("sample_rate"))
+        return adler.constraint_findings(p["omega_am"], p["omega_r"],
+                                         p["duration"], p["sample_rate"])
     if experiment == "noise":
-        return thermomech.noise_constraint_findings(p("g_oa"), p("n_pi"))
+        return thermomech.noise_constraint_findings(p["g_oa"], p["n_pi"])
     findings = thermomech.mech_constraint_findings(
-        p("m_m"), p("omega_m"), p("gamma_m"), p("kappa_m"))
-    findings += thermomech.step_constraint_findings(_threshold_dt(config),
-                                                    p("omega_m"))
+        p["m_m"], p["omega_m"], p["gamma_m"], p["kappa_m"])
+    findings += thermomech.step_constraint_findings(_threshold_dt(p),
+                                                    p["omega_m"])
     if experiment == "mml":
-        findings += comb.constraint_findings(p("beta_floor"), "beta_floor")
+        findings += comb.constraint_findings(p["beta_floor"], "beta_floor")
     return findings
-
-
-def _param(config: ExperimentConfig, key: str):
-    spec = SCHEMAS[config.experiment][key]
-    raw = config.parameters.get(key, spec.default)
-    if isinstance(raw, dict):
-        raw = raw.get("value")
-    if raw is None:
-        return None
-    if spec.kind in (bool, str):
-        return raw
-    return spec.kind(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +295,9 @@ def _write_table(manifest: RunManifest, out_dir: Path, name: str,
 # ---------------------------------------------------------------------------
 # experiment handlers
 
-def _run_comb(config, manifest, out_dir):
-    beta = _param(config, "beta")
-    n = _param(config, "n_points")
-    s = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+def _run_comb(p, manifest, out_dir):
+    beta = p["beta"]
+    s = np.linspace(0.0, 2.0 * np.pi, p["n_points"], endpoint=False)
     closed = comb.comb_closed(s, beta)
     k = comb.adaptive_truncation(beta)
     series = comb.comb_series(s, beta, k)
@@ -318,18 +313,15 @@ def _run_comb(config, manifest, out_dir):
     })
 
 
-def _run_lattice(config, manifest, out_dir):
+def _run_lattice(p, manifest, out_dir):
     cfg = lattice.LatticeConfig(
-        n_modes=_param(config, "n_modes"), mu_m=_param(config, "mu_m"),
-        t_n=_param(config, "t_n"), dt=_param(config, "dt"),
-        seed=config.seed, boundary=_param(config, "boundary"))
-    store_traj = _param(config, "store_trajectory")
+        n_modes=p["n_modes"], mu_m=p["mu_m"], t_n=p["t_n"], dt=p["dt"],
+        seed=manifest.seed, boundary=p["boundary"])
+    store_traj = p["store_trajectory"]
     stats = lattice.run_lattice(
-        cfg, n_steps=_param(config, "n_steps"),
-        burn_in=_param(config, "burn_in"),
-        sample_every=_param(config, "sample_every"),
-        max_lag=_param(config, "max_lag"),
-        record_every=_param(config, "traj_every") if store_traj else None)
+        cfg, n_steps=p["n_steps"], burn_in=p["burn_in"],
+        sample_every=p["sample_every"], max_lag=p["max_lag"],
+        record_every=p["traj_every"] if store_traj else None)
     ks = np.arange(stats.corr.size)
     _write_table(manifest, out_dir, "correlations",
                  ["k", "re_corr", "im_corr", "se"],
@@ -349,10 +341,10 @@ def _run_lattice(config, manifest, out_dir):
     })
 
 
-def _run_pulse(config, manifest, out_dir):
-    g_m = complex(_param(config, "g_m_re"), _param(config, "g_m_im"))
-    g0 = complex(_param(config, "g0_re"), _param(config, "g0_im"))
-    n = _param(config, "n")
+def _run_pulse(p, manifest, out_dir):
+    g_m = complex(p["g_m_re"], p["g_m_im"])
+    g0 = complex(p["g0_re"], p["g0_im"])
+    n = p["n"]
     traj = pulses.roundtrip_iterate(g0, g_m, n)
     idx = np.arange(n + 1)
     closed = np.array([pulses.continuous_solution(g_m, float(i), 0.0)
@@ -373,15 +365,13 @@ def _run_pulse(config, manifest, out_dir):
     })
 
 
-def _run_adler(config, manifest, out_dir):
+def _run_adler(p, manifest, out_dir):
     params = adler.AdlerParams.from_threshold(
-        omega_am=_param(config, "omega_am"), omega_r=_param(config, "omega_r"),
-        v_am0=_param(config, "v_am0"), v_am=_param(config, "v_am0"))
-    grid = np.linspace(_param(config, "v_min"), _param(config, "v_max"),
-                       _param(config, "n_v"))
-    smap = adler.pd_spectrum_sweep(params, grid,
-                                   duration=_param(config, "duration"),
-                                   sample_rate=_param(config, "sample_rate"))
+        omega_am=p["omega_am"], omega_r=p["omega_r"], v_am0=p["v_am0"],
+        v_am=p["v_am0"])
+    grid = np.linspace(p["v_min"], p["v_max"], p["n_v"])
+    smap = adler.pd_spectrum_sweep(params, grid, duration=p["duration"],
+                                   sample_rate=p["sample_rate"])
     cols = [smap.freqs] + [smap.psd[:, j] for j in range(grid.size)]
     header = ["freq_hz"] + [f"psd_v{j}" for j in range(grid.size)]
     _write_table(manifest, out_dir, "spectrum_map", header, cols)
@@ -396,71 +386,25 @@ def _run_adler(config, manifest, out_dir):
     })
 
 
-def _mech_from_config(config):
-    mech = thermomech.MechParams(
-        m_m=_param(config, "m_m"), omega_m=_param(config, "omega_m"),
-        gamma_m=_param(config, "gamma_m"), theta_ph=_param(config, "theta_ph"),
-        theta_fh=_param(config, "theta_fh"), kappa_m=_param(config, "kappa_m"))
-    absorption = thermomech.AbsorptionModel(
-        a_h0=_param(config, "a_h0"), k_a1=_param(config, "k_a1"),
-        k_a2=_param(config, "k_a2"))
-    return mech, absorption
-
-
-def _threshold_dt(config):
+def _threshold_dt(p):
     """The RK4 step of a seo/mml run: steps_per_cycle per mechanical
     period."""
-    return 2.0 * np.pi / (_param(config, "steps_per_cycle")
-                          * _param(config, "omega_m"))
+    return 2.0 * np.pi / (p["steps_per_cycle"] * p["omega_m"])
 
 
-def _threshold_drive(kind, config, l0):
-    if kind == "seo":
-        return thermomech.IntensityDrive.cw(l0)
-    return thermomech.IntensityDrive.closed_loop(
-        l0, coupling=_param(config, "coupling"),
-        beta_floor=_param(config, "beta_floor"), t_n=_param(config, "t_n"))
-
-
-def _classify(kind, config, mech, absorption, l0, x0, dt, t_end,
-              store_every):
-    """Run one trajectory and report (grew?, amplitude ratio, trajectory).
-
-    The SEO instability grows or decays exponentially, so a late window of
-    the oscillation amplitude (about the instantaneous thermal equilibrium)
-    is compared against an early one, which cancels the thermal-settling
-    transient.  The closed-loop MML amplitude instead self-regulates to
-    (L0/L*) times the seed within a few pumping times, so it is compared
-    against the seed amplitude directly.
-    """
-    try:
-        traj = thermomech.simulate(mech, absorption,
-                                   _threshold_drive(kind, config, l0),
-                                   x0=x0, v0=0.0, t_end=t_end, dt=dt,
-                                   store_every=store_every)
-    except thermomech.InstabilityError as err:
-        return True, np.inf, err.trajectory, err.t
-    w_inst = mech.omega_m + mech.theta_ph * traj.t_r_rel
-    x_eq = mech.theta_fh * traj.t_r_rel / (mech.m_m * w_inst ** 2)
-    amp = np.hypot(traj.x - x_eq, traj.v / mech.omega_m)
-    t_frac = traj.time / traj.time[-1]
-    late = float(amp[t_frac > 0.8].mean())
-    if kind == "mml":
-        reference = abs(x0)
+def _run_threshold_experiment(p, manifest, out_dir):
+    mml = manifest.experiment == "mml"
+    mech = thermomech.MechParams(
+        m_m=p["m_m"], omega_m=p["omega_m"], gamma_m=p["gamma_m"],
+        theta_ph=p["theta_ph"], theta_fh=p["theta_fh"], kappa_m=p["kappa_m"])
+    absorption = thermomech.AbsorptionModel(
+        a_h0=p["a_h0"], k_a1=p["k_a1"], k_a2=p["k_a2"])
+    if mml:
+        l_star = thermomech.mml_threshold(mech, absorption, p["t_n"])
     else:
-        reference = float(amp[(t_frac > 0.3) & (t_frac <= 0.5)].mean())
-    return late > reference, late / reference, traj, None
-
-
-def _run_threshold_experiment(config, manifest, out_dir, kind: str):
-    mech, absorption = _mech_from_config(config)
-    if kind == "seo":
         l_star = thermomech.seo_threshold(mech, absorption)
-    else:
-        l_star = thermomech.mml_threshold(mech, absorption,
-                                          _param(config, "t_n"))
     manifest.derived["threshold_formula"] = l_star
-    if kind == "mml" and np.isfinite(l_star):
+    if mml and np.isfinite(l_star):
         seo_opposite = thermomech.seo_threshold(
             mech, thermomech.AbsorptionModel(
                 a_h0=absorption.a_h0, k_a1=-absorption.k_a1,
@@ -474,8 +418,7 @@ def _run_threshold_experiment(config, manifest, out_dir, kind: str):
     # the steady thermal shift Theta_PH*T_R at the largest L0 probed: at
     # -omega_m or below, simulate() halts every such probe on its
     # thermal-frequency guard, so the classification says nothing
-    l0_max = l_star * max(_param(config, "l0_factor"),
-                          1.25 if _param(config, "search") else 0.0)
+    l0_max = l_star * max(p["l0_factor"], 1.25 if p["search"] else 0.0)
     shift = mech.theta_ph * l0_max * absorption.a_h0 / mech.kappa_m
     if shift <= -mech.omega_m:
         manifest.derived["domain_note"] = (
@@ -484,50 +427,79 @@ def _run_threshold_experiment(config, manifest, out_dir, kind: str):
             " outside the model's small-shift domain: a probe whose thermal"
             " frequency omega_m + Theta_PH*T_R reaches zero halts there, and"
             " its 'grew' marks that halt, not an instability")
-    x0 = _param(config, "x0")
+    x0 = p["x0"]
     if x0 is None:
         # canonical seeds: mode locking is probed at the amplitude where
         # the slaved-pulse pumping equals |gamma_H1|
-        if kind == "mml":
-            x0 = _param(config, "t_n") / (mech.omega_m
-                                          * abs(absorption.k_a1))
+        if mml:
+            x0 = p["t_n"] / (mech.omega_m * abs(absorption.k_a1))
         else:
             x0 = 1e-4 / abs(absorption.k_a1)
-    dt = _threshold_dt(config)
-    t_end = _param(config, "n_cycles") * 2.0 * np.pi / mech.omega_m
-    store_every = _param(config, "store_every")
+    dt = _threshold_dt(p)
+    t_end = p["n_cycles"] * 2.0 * np.pi / mech.omega_m
+    store_every = p["store_every"]
 
-    l0 = _param(config, "l0_factor") * l_star
-    grew, ratio, traj, halted = _classify(kind, config, mech, absorption,
-                                          l0, x0, dt, t_end, store_every)
+    def probe(l0):
+        """Run one trajectory at L0; report (grew?, amplitude ratio,
+        trajectory, halt time or None).
+
+        The SEO instability grows or decays exponentially, so a late
+        window of the oscillation amplitude (about the instantaneous
+        thermal equilibrium) is compared against an early one, which
+        cancels the thermal-settling transient.  The closed-loop MML
+        amplitude instead self-regulates to (L0/L*) times the seed within
+        a few pumping times, so it is compared against the seed amplitude
+        directly.
+        """
+        if mml:
+            drive = thermomech.IntensityDrive.closed_loop(
+                l0, coupling=p["coupling"], beta_floor=p["beta_floor"],
+                t_n=p["t_n"])
+        else:
+            drive = thermomech.IntensityDrive.cw(l0)
+        try:
+            traj = thermomech.simulate(mech, absorption, drive, x0=x0,
+                                       v0=0.0, t_end=t_end, dt=dt,
+                                       store_every=store_every)
+        except thermomech.InstabilityError as err:
+            return True, np.inf, err.trajectory, err.t
+        w_inst = mech.omega_m + mech.theta_ph * traj.t_r_rel
+        x_eq = mech.theta_fh * traj.t_r_rel / (mech.m_m * w_inst ** 2)
+        amp = np.hypot(traj.x - x_eq, traj.v / mech.omega_m)
+        t_frac = traj.time / traj.time[-1]
+        late = float(amp[t_frac > 0.8].mean())
+        if mml:
+            reference = abs(x0)
+        else:
+            reference = float(amp[(t_frac > 0.3) & (t_frac <= 0.5)].mean())
+        return late > reference, late / reference, traj, None
+
+    l0 = p["l0_factor"] * l_star
+    grew, ratio, traj, halted = probe(l0)
     _write_table(manifest, out_dir, "trajectory",
                  ["time_s", "x_m", "v_m_per_s", "t_r_kelvin"],
                  [traj.time, traj.x, traj.v, traj.t_r_rel])
     manifest.derived.update({
         "l0": l0,
-        "l0_over_threshold": _param(config, "l0_factor"),
+        "l0_over_threshold": p["l0_factor"],
         "amplitude_start": abs(x0),
         "amplitude_ratio": ratio,
         "classification": "grew" if grew else "decayed",
         "halted_at": halted,
     })
 
-    if _param(config, "search"):
-        rtol = _param(config, "search_rtol")
+    if p["search"]:
         lo, hi = 0.8 * l_star, 1.25 * l_star
-        lo_grew = _classify(kind, config, mech, absorption, lo, x0, dt,
-                            t_end, store_every)[0]
-        hi_grew = _classify(kind, config, mech, absorption, hi, x0, dt,
-                            t_end, store_every)[0]
+        lo_grew = probe(lo)[0]
+        hi_grew = probe(hi)[0]
         if lo_grew or not hi_grew:
             manifest.derived["search_note"] = (
                 "no growth/decay sign change inside [0.8, 1.25] x formula "
                 "threshold; simulated value not bracketed")
         else:
-            while (hi - lo) / l_star > rtol:
+            while (hi - lo) / l_star > p["search_rtol"]:
                 mid = 0.5 * (lo + hi)
-                if _classify(kind, config, mech, absorption, mid, x0, dt,
-                             t_end, store_every)[0]:
+                if probe(mid)[0]:
                     hi = mid
                 else:
                     lo = mid
@@ -539,16 +511,13 @@ def _run_threshold_experiment(config, manifest, out_dir, kind: str):
             })
 
 
-def _run_noise(config, manifest, out_dir):
+def _run_noise(p, manifest, out_dir):
     chain = thermomech.NoiseChain(
-        g_oa=_param(config, "g_oa"), n_pi=_param(config, "n_pi"),
-        gamma_om=_param(config, "gamma_om"), n_p=_param(config, "n_p"),
-        lambda_l=_param(config, "lambda_l"),
-        delta_lambda=_param(config, "delta_lambda"),
-        l_r=_param(config, "l_r"), n_eff=_param(config, "n_eff"),
-        omega_p=_param(config, "omega_p"))
+        g_oa=p["g_oa"], n_pi=p["n_pi"], gamma_om=p["gamma_om"], n_p=p["n_p"],
+        lambda_l=p["lambda_l"], delta_lambda=p["delta_lambda"],
+        l_r=p["l_r"], n_eff=p["n_eff"], omega_p=p["omega_p"])
     t_n, n_r, p_oa = thermomech.effective_noise(chain)
-    omega_m = _param(config, "omega_m")
+    omega_m = p["omega_m"]
     names = ["alpha_nf", "t_n_per_s", "n_r_modes", "p_oa_watt",
              "two_omega_m_over_t_n", "mml_to_seo_threshold_ratio"]
     values = [thermomech.noise_figure(chain.g_oa, chain.n_pi), t_n, n_r,
@@ -564,15 +533,15 @@ _HANDLERS = {
     "lattice": _run_lattice,
     "pulse": _run_pulse,
     "adler": _run_adler,
-    "seo": lambda c, m, o: _run_threshold_experiment(c, m, o, "seo"),
-    "mml": lambda c, m, o: _run_threshold_experiment(c, m, o, "mml"),
+    "seo": _run_threshold_experiment,
+    "mml": _run_threshold_experiment,
     "noise": _run_noise,
 }
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Validate, dispatch, and write outputs plus manifest atomically."""
-    findings = validate_config(config)
+    values, findings = _parse(config)
     if findings:
         raise ValueError("invalid config: " + "; ".join(findings))
     out_dir = Path(config.output_dir)
@@ -584,7 +553,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
         seed=config.seed)
-    _HANDLERS[config.experiment](config, manifest, out_dir)
+    _HANDLERS[config.experiment](values, manifest, out_dir)
     _write_atomic(out_dir / f"{config.experiment}_manifest.json",
                   manifest.to_json() + "\n")
     return manifest
@@ -719,20 +688,15 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 2
 
+    findings = validate_config(config)
+    stream = sys.stdout if args.command == "validate" else sys.stderr
+    for f in findings:
+        print(f"finding: {f}", file=stream)
+    if findings:
+        return 2
     if args.command == "validate":
-        findings = validate_config(config)
-        for f in findings:
-            print(f"finding: {f}")
-        if findings:
-            return 2
         print("config valid")
         return 0
-
-    findings = validate_config(config)
-    if findings:
-        for f in findings:
-            print(f"finding: {f}", file=sys.stderr)
-        return 2
     try:
         manifest = run_experiment(config)
     except (thermomech.InstabilityError, IntegrationError,

@@ -21,11 +21,13 @@ import numpy as np
 
 # coth(beta/2) overflows float range well before this; keep requests sane
 BETA_MIN = 1e-6
+# sinh(beta) overflows float range just above 710
+BETA_MAX = 700.0
 
 
 def constraint_findings(beta: float, name: str = "beta") -> list[str]:
-    """Violations of the comb's linewidth domain, beta >= BETA_MIN; an
-    empty list means valid.
+    """Violations of the comb's linewidth domain, BETA_MIN <= beta <=
+    BETA_MAX; an empty list means valid.
 
     ``name`` is the parameter the finding reports, for a linewidth that a
     caller knows by another name (the closed-loop drive's beta_floor).
@@ -37,6 +39,8 @@ def constraint_findings(beta: float, name: str = "beta") -> list[str]:
         return [f"{name} must be positive (got {beta})"]
     if beta < BETA_MIN:
         return [f"{name} must be >= {BETA_MIN} (got {beta})"]
+    if beta > BETA_MAX:
+        return [f"{name} must be <= {BETA_MAX} (got {beta})"]
     return []
 
 

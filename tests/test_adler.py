@@ -36,6 +36,13 @@ class TestNormalizedBias:
         assert p.zeta_am == pytest.approx(2 * np.pi * 100.0 / 0.156)
         assert round(p.zeta_am, 1) == 4027.7
 
+    def test_zero_detuning_refused(self):
+        # zeta_AM = 0 would leave every i_b = 0/0
+        with pytest.raises(ValueError, match="omega_r"):
+            AdlerParams.from_threshold(omega_am=2 * np.pi * 371.4e3,
+                                       omega_r=2 * np.pi * 371.4e3,
+                                       v_am0=0.156, v_am=0.1)
+
     def test_bias_equals_threshold_ratio(self):
         for v in (0.05, 0.2, 1.0):
             assert normalized_bias(self.params(v)) == \
@@ -196,6 +203,31 @@ class TestSpectrumSweep:
         # carrier-to-dominant ratio: rho/(1 - rho^2)
         assert amps[0] / amps[1] == pytest.approx(rho / (1 - rho ** 2),
                                                   rel=0.1)
+
+    def test_exact_line_powers(self):
+        # cos(w_AM t - phi_S) has the carrier and a one-sided ladder with
+        # exact powers, rho = exp(-arccosh(i_b)): rho^2 at the carrier and
+        # rho^(2(m-1)) (1 - rho^2)^2 at rung m >= 1; each real line of
+        # complex amplitude c carries |c|^2/2 = amp^2
+        params = AdlerParams.from_threshold(
+            omega_am=2 * np.pi * 371.4e3, omega_r=2 * np.pi * 371.3e3,
+            v_am0=0.156, v_am=0.156)
+        grid = 0.156 / np.array([3.12, 1.2])
+        smap = pd_spectrum_sweep(params, grid, duration=0.5,
+                                 sample_rate=2.0 ** 20, segment_len=2 ** 17)
+        rung = np.arange(5)
+        for j, (v, i_b) in enumerate(zip(grid, smap.i_b)):
+            beat_hz = params.zeta_am * v * np.sqrt(i_b ** 2 - 1) \
+                / (2 * np.pi)
+            spec = SpectrumResult(freqs=smap.freqs, psd=smap.psd[:, j],
+                                  resolution=smap.resolution,
+                                  segments=smap.segments)
+            _, amps = sideband_amplitudes(spec, params.omega_am / (2 * np.pi),
+                                          -beat_hz, n_bands=4)
+            rho = np.exp(-np.arccosh(i_b))
+            exact = np.where(rung == 0, rho ** 2, rho ** (2.0 * (rung - 1))
+                             * (1 - rho ** 2) ** 2)
+            assert np.max(np.abs(2 * amps ** 2 - exact)) < 1e-4, i_b
 
     def test_short_duration_warns_in_metadata(self):
         params = AdlerParams.from_threshold(

@@ -122,6 +122,31 @@ class TestRunExperiment:
         assert v0 == pytest.approx(comb_closed(s0, 0.1), rel=1e-15)
         assert vs0 == pytest.approx(v0, abs=1e-12)
 
+    def test_comb_run_at_beta_max(self, tmp_path):
+        # the widest linewidth validate accepts; sinh(beta) overflows
+        # just above 710
+        from ringlock.comb import BETA_MAX
+        cfg = ExperimentConfig("comb", {"beta": BETA_MAX, "n_points": 8}, 0,
+                               tmp_path)
+        derived = run_experiment(cfg).derived
+        assert derived["peak"] == pytest.approx(1.0, rel=1e-12)
+        assert derived["mean_over_period"] == pytest.approx(1.0, rel=1e-12)
+        table = np.loadtxt(tmp_path / "comb_profile.txt")
+        assert np.all(np.isfinite(table))
+
+    def test_wrapped_and_float_integer_values_run_as_bare(self, tmp_path):
+        # a {"value", "unit"} record and an integer written as 32.0 reach
+        # the run as the bare config's values
+        bare = {"beta": 0.1, "n_points": 32}
+        wrapped = {"beta": {"value": 0.1, "unit": "dimensionless"},
+                   "n_points": 32.0}
+        runs = [run_experiment(ExperimentConfig("comb", params, 0,
+                                                tmp_path / name))
+                for name, params in (("bare", bare), ("wrapped", wrapped))]
+        assert runs[0].derived == runs[1].derived
+        assert (tmp_path / "bare" / "comb_profile.txt").read_bytes() \
+            == (tmp_path / "wrapped" / "comb_profile.txt").read_bytes()
+
     def test_invalid_config_raises(self, tmp_path):
         cfg = ExperimentConfig("comb", {"beta": -1.0}, 0, tmp_path)
         with pytest.raises(ValueError):
@@ -280,6 +305,8 @@ class TestMainEntry:
                     "g_m_re": 1.5, "n": 10}}, "|g_m|"),
                 ("comb.json", {"experiment": "comb", "parameters": {
                     "beta": 1e-8}}, "beta"),
+                ("comb_max.json", {"experiment": "comb", "parameters": {
+                    "beta": 800.0}}, "beta"),
                 ("noise.json", {"experiment": "noise", "parameters": dict(
                     NOISE_PARAMS, g_oa=0.5)}, "g_oa"),
                 ("n_pi.json", {"experiment": "noise", "parameters": dict(
@@ -297,7 +324,10 @@ class TestMainEntry:
                     mml, beta_floor=1e-7)}, "beta_floor"),
                 ("adler.json", {"experiment": "adler", "parameters": dict(
                     ADLER_PARAMS, duration=0.001, sample_rate=1000.0)},
-                 "Welch segment")):
+                 "Welch segment"),
+                ("detuning.json", {"experiment": "adler", "parameters": dict(
+                    ADLER_PARAMS, omega_r=ADLER_PARAMS["omega_am"])},
+                 "omega_r")):
             path = write_config(tmp_path, payload, name)
             out = tmp_path / name.replace(".json", "_out")
             capsys.readouterr()
@@ -327,6 +357,45 @@ class TestMainEntry:
         assert err.startswith("error: invalid config: "), err
         assert "Traceback" not in err
         assert not (out / "comb_manifest.json").exists()
+
+    def test_benchmark_entry_points_are_called(self, tmp_path, monkeypatch):
+        # the benchmark stamps its set-up time at the first call to one of
+        # these module attributes and refuses a run that makes none, so the
+        # CLI must call each through its module at call time
+        import importlib.util
+
+        from ringlock import adler, lattice, thermomech
+        path = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+        spec = importlib.util.spec_from_file_location("bench_child", path)
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+        modules = {"adler": adler, "lattice": lattice,
+                   "thermomech": thermomech}
+        called = []
+        for mod, attr in child.ENTRY_POINTS:
+            fn = getattr(modules[mod], attr)
+
+            def record(*args, _fn=fn, _name=(mod, attr), **kwargs):
+                called.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(modules[mod], attr, record)
+        mml = dict(TestRunExperiment.SEO_BASE, k_a1=-1e4, t_n=2.5e4,
+                   coupling=2.5e14, beta_floor=0.05, n_cycles=4,
+                   steps_per_cycle=50, search=False)
+        expected = {"lattice": ("lattice", "run_lattice"),
+                    "adler": ("adler", "pd_spectrum_sweep"),
+                    "mml": ("thermomech", "mml_threshold")}
+        assert set(expected.values()) == set(child.ENTRY_POINTS)
+        for experiment, params in (
+                ("lattice", dict(LATTICE_PARAMS, n_steps=200)),
+                ("adler", ADLER_PARAMS), ("mml", mml)):
+            cfg = write_config(tmp_path, {"experiment": experiment,
+                                          "parameters": params},
+                               f"{experiment}.json")
+            called.clear()
+            assert main(["run", str(cfg), "--out",
+                         str(tmp_path / experiment)]) == 0, experiment
+            assert expected[experiment] in called, (experiment, called)
 
     def test_run_path_imports_no_scipy(self, tmp_path):
         # scipy serves the tests only: a fresh interpreter that imports the

@@ -539,12 +539,13 @@ class TestClosedLoopDrive:
     def test_drive_validation(self):
         with pytest.raises(ValueError):
             IntensityDrive(l0=-1.0)
-        # zero, and positive linewidths below the comb's BETA_MIN: the
-        # constructor is the only check simulate's fused laws rely on
-        for beta in (0.0, 1e-8):
+        # zero, positive linewidths below the comb's BETA_MIN and above its
+        # BETA_MAX: the constructor is the only check simulate's fused laws
+        # rely on
+        for beta in (0.0, 1e-8, 800.0):
             with pytest.raises(ValueError):
                 IntensityDrive.comb(1.0, beta=beta, omega_pulse=1.0)
-        for beta_floor in (0.0, 1e-7):
+        for beta_floor in (0.0, 1e-7, 800.0):
             with pytest.raises(ValueError):
                 IntensityDrive.closed_loop(1.0, coupling=1.0,
                                            beta_floor=beta_floor, t_n=1.0)
