@@ -265,6 +265,22 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _cells(col):
+    """The text of each cell of one column, in one pass over the column.
+
+    A float64 array iterates as ``np.float64``, a subclass of ``float``, so
+    ``float.__repr__`` writes the text ``_fmt`` gives; an integer array
+    writes its Python ints.  Anything else (lists, object, bool, float32
+    and complex arrays) goes through ``_fmt`` cell by cell.
+    """
+    if isinstance(col, np.ndarray):
+        if col.dtype == np.float64:
+            return map(float.__repr__, col)
+        if col.dtype.kind in "iu":
+            return map(str, col.tolist())
+    return map(_fmt, col)
+
+
 def _write_atomic(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
@@ -279,11 +295,13 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def _write_table(manifest: RunManifest, out_dir: Path, name: str,
                  header: list[str], columns: list[np.ndarray]) -> Path:
-    lines = ["# " + " ".join(header)]
-    rows = len(columns[0])
-    for i in range(rows):
-        lines.append(" ".join(_fmt(col[i]) for col in columns))
-    text = "\n".join(lines) + "\n"
+    lengths = [len(col) for col in columns]
+    if len(set(lengths)) != 1:
+        raise ValueError(f"table {name!r}: columns must share one length, "
+                         f"got lengths {lengths}")
+    rows = lengths[0]
+    lines = map(" ".join, zip(*map(_cells, columns)))
+    text = "\n".join(["# " + " ".join(header), *lines]) + "\n"
     path = out_dir / f"{manifest.experiment}_{name}.txt"
     _write_atomic(path, text)
     digest = hashlib.sha256(text.encode()).hexdigest()

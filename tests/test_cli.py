@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringlock.cli import (ExperimentConfig, main, preset_text,
-                          run_experiment, validate_config)
+from ringlock.cli import (ExperimentConfig, RunManifest, _fmt, _write_table,
+                          main, preset_text, run_experiment, validate_config)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -28,6 +28,16 @@ NOISE_PARAMS = {
 ADLER_PARAMS = {"omega_am": 2333575.02, "omega_r": 2332946.70,
                 "v_am0": 0.156, "v_min": 0.04, "v_max": 0.31, "n_v": 3,
                 "duration": 0.0625, "sample_rate": 1048576.0}
+
+
+def _bench_child():
+    """bench/child.py, loaded as a module."""
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+    spec = importlib.util.spec_from_file_location("bench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child
 
 
 class TestValidateConfig:
@@ -270,6 +280,68 @@ class TestRunExperiment:
         assert len(lines) > 5
 
 
+class TestWriteTable:
+    @staticmethod
+    def per_cell_text(header, columns):
+        """The table as the writer formatted it cell by cell up to 0.6.0."""
+        lines = ["# " + " ".join(header)]
+        for i in range(len(columns[0])):
+            lines.append(" ".join(_fmt(col[i]) for col in columns))
+        return "\n".join(lines) + "\n"
+
+    def write(self, tmp_path, header, columns, name="t"):
+        manifest = RunManifest("comb", {}, "0", "now", 0)
+        path = _write_table(manifest, tmp_path, name, header, columns)
+        return manifest, path
+
+    def test_bytes_match_per_cell_formatting(self, tmp_path):
+        floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16,
+                           1e-5, 0.1])
+        traj = np.arange(24, dtype=float).reshape(8, 3) / 7.0
+        columns = [
+            floats,
+            np.array([-2 ** 63, -1, 0, 1, 7, 2 ** 53 + 1, 10 ** 18,
+                      2 ** 63 - 1], dtype=np.int64),
+            np.array([0, 1, 2, 3, 2 ** 53 + 1, 2 ** 63, 10 ** 19,
+                      2 ** 64 - 1], dtype=np.uint64),
+            np.array([True, False] * 4),
+            np.array([0.1, -0.0, np.nan, np.inf, 1e-45, 3.4e38, 1.0,
+                      1 / 3], dtype=np.float32),
+            np.array(["alpha", "b", "c", "d", "e", "f", "g", "h"],
+                     dtype=object),
+            [1, 2.5, -3, 0.0, True, np.int64(4), np.float64(0.5), "x"],
+            traj[:, 1],
+            floats[::-1],
+            floats.astype(">f8"),
+        ]
+        header = [f"c{j}" for j in range(len(columns))]
+        manifest, path = self.write(tmp_path, header, columns)
+        assert path == tmp_path / "comb_t.txt"
+        text = self.per_cell_text(header, columns)
+        assert path.read_bytes() == text.encode()
+        # a list is formatted element by element, never cast to floats
+        assert [row.split()[6] for row in text.splitlines()[1:3]] \
+            == ["1", "2.5"]
+        assert manifest.outputs == [{
+            "name": "t", "path": str(path), "rows": 8,
+            "sha256": hashlib.sha256(text.encode()).hexdigest()}]
+
+    def test_empty_table_is_its_header(self, tmp_path):
+        manifest, path = self.write(tmp_path, ["a", "b"],
+                                    [np.array([]), np.array([], dtype=int)])
+        assert path.read_text() == "# a b\n"
+        assert manifest.outputs[0]["rows"] == 0
+
+    @pytest.mark.parametrize("lengths", [(3, 2), (3, 4), (3, 3, 1)])
+    def test_ragged_columns_refused_before_writing(self, tmp_path, lengths):
+        columns = [np.arange(n, dtype=float) for n in lengths]
+        with pytest.raises(ValueError) as info:
+            self.write(tmp_path, ["c"] * len(lengths), columns, "ragged")
+        assert "'ragged'" in str(info.value)
+        assert str(list(lengths)) in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestMainEntry:
     def test_run_exit_codes(self, tmp_path, capsys):
         good = write_config(tmp_path, {
@@ -362,13 +434,8 @@ class TestMainEntry:
         # the benchmark stamps its set-up time at the first call to one of
         # these module attributes and refuses a run that makes none, so the
         # CLI must call each through its module at call time
-        import importlib.util
-
         from ringlock import adler, lattice, thermomech
-        path = Path(__file__).resolve().parents[1] / "bench" / "child.py"
-        spec = importlib.util.spec_from_file_location("bench_child", path)
-        child = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(child)
+        child = _bench_child()
         modules = {"adler": adler, "lattice": lattice,
                    "thermomech": thermomech}
         called = []
@@ -396,6 +463,33 @@ class TestMainEntry:
             assert main(["run", str(cfg), "--out",
                          str(tmp_path / experiment)]) == 0, experiment
             assert expected[experiment] in called, (experiment, called)
+
+    def test_benchmark_tracer_counts_the_tables(self, tmp_path, monkeypatch):
+        # the traced benchmark replaces each WRAPPED module attribute and
+        # reads a table's rows from the fifth positional argument of
+        # _write_table and its bytes from the path it returns; a renamed
+        # function or a changed call would read 0 without failing
+        from ringlock import adler, cli, lattice, thermomech
+        child = _bench_child()
+        modules = {"adler": adler, "cli": cli, "lattice": lattice,
+                   "thermomech": thermomech}
+        names = [(mod, attr) for mod, attr, _, _ in child.WRAPPED]
+        for mod, attr in names + list(child.ENTRY_POINTS):
+            fn = getattr(modules[mod], attr, None)
+            assert callable(fn), (mod, attr)
+            monkeypatch.setattr(modules[mod], attr, fn)   # undone after
+        tracer = child.Tracer(thermomech.InstabilityError)
+        tracer.install(modules, traced=True)
+        cfg = write_config(tmp_path, {"experiment": "adler",
+                                      "parameters": ADLER_PARAMS})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        outputs = json.loads(
+            (tmp_path / "out" / "adler_manifest.json").read_text())["outputs"]
+        tables = tracer.take()[1]["cli.tables"]
+        assert tables["calls"] == len(outputs) == 2
+        assert tables["rows"] == sum(o["rows"] for o in outputs) > 0
+        assert tables["bytes"] == sum(Path(o["path"]).stat().st_size
+                                      for o in outputs)
 
     def test_run_path_imports_no_scipy(self, tmp_path):
         # scipy serves the tests only: a fresh interpreter that imports the
