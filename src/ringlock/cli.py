@@ -269,15 +269,12 @@ def _cells(col):
     """The text of each cell of one column, in one pass over the column.
 
     A float64 array iterates as ``np.float64``, a subclass of ``float``, so
-    ``float.__repr__`` writes the text ``_fmt`` gives; an integer array
-    writes its Python ints.  Anything else (lists, object, bool, float32
-    and complex arrays) goes through ``_fmt`` cell by cell.
+    ``float.__repr__`` writes the text ``_fmt`` gives.  Anything else
+    (lists, integer, object, bool, float32 and complex arrays) goes
+    through ``_fmt`` cell by cell.
     """
-    if isinstance(col, np.ndarray):
-        if col.dtype == np.float64:
-            return map(float.__repr__, col)
-        if col.dtype.kind in "iu":
-            return map(str, col.tolist())
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return map(float.__repr__, col)
     return map(_fmt, col)
 
 
@@ -297,8 +294,10 @@ def _write_table(manifest: RunManifest, out_dir: Path, name: str,
                  header: list[str], columns: list[np.ndarray]) -> Path:
     lengths = [len(col) for col in columns]
     if len(set(lengths)) != 1:
-        raise ValueError(f"table {name!r}: columns must share one length, "
-                         f"got lengths {lengths}")
+        # a handler's defect, not a config's: main reports a ValueError
+        # as an invalid config, so this is not one
+        raise RuntimeError(f"table {name!r}: columns must share one "
+                           f"length, got lengths {lengths}")
     rows = lengths[0]
     lines = map(" ".join, zip(*map(_cells, columns)))
     text = "\n".join(["# " + " ".join(header), *lines]) + "\n"

@@ -335,7 +335,7 @@ class TestWriteTable:
     @pytest.mark.parametrize("lengths", [(3, 2), (3, 4), (3, 3, 1)])
     def test_ragged_columns_refused_before_writing(self, tmp_path, lengths):
         columns = [np.arange(n, dtype=float) for n in lengths]
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(RuntimeError) as info:
             self.write(tmp_path, ["c"] * len(lengths), columns, "ragged")
         assert "'ragged'" in str(info.value)
         assert str(list(lengths)) in str(info.value)
@@ -429,6 +429,24 @@ class TestMainEntry:
         assert err.startswith("error: invalid config: "), err
         assert "Traceback" not in err
         assert not (out / "comb_manifest.json").exists()
+
+    def test_ragged_table_is_a_program_failure(self, tmp_path, capsys,
+                                               monkeypatch):
+        # columns of different lengths are a handler's defect: main lets
+        # the error out rather than report the config as invalid
+        import ringlock.cli as cli
+
+        def ragged(p, manifest, out_dir):
+            cli._write_table(manifest, out_dir, "profile", ["a", "b"],
+                             [np.zeros(3), np.zeros(2)])
+        monkeypatch.setitem(cli._HANDLERS, "comb", ragged)
+        cfg = write_config(tmp_path, {
+            "experiment": "comb", "parameters": {"beta": 0.2}})
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="'profile'"):
+            main(["run", str(cfg), "--out", str(out)])
+        assert "invalid config" not in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_benchmark_entry_points_are_called(self, tmp_path, monkeypatch):
         # the benchmark stamps its set-up time at the first call to one of
