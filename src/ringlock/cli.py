@@ -249,8 +249,12 @@ def _constraint_findings(experiment: str, p: dict) -> list[str]:
         p["m_m"], p["omega_m"], p["gamma_m"], p["kappa_m"])
     findings += thermomech.step_constraint_findings(_threshold_dt(p),
                                                     p["omega_m"])
+    if p["search"]:
+        findings += thermomech.search_constraint_findings(p["search_rtol"])
     if experiment == "mml":
         findings += comb.constraint_findings(p["beta_floor"], "beta_floor")
+        if p["x0"] == 0.0:   # the probe measures growth against |x0|
+            findings.append("mml requires x0 != 0 (the seed amplitude)")
     return findings
 
 
@@ -435,7 +439,8 @@ def _run_threshold_experiment(p, manifest, out_dir):
     # the steady thermal shift Theta_PH*T_R at the largest L0 probed: at
     # -omega_m or below, simulate() halts every such probe on its
     # thermal-frequency guard, so the classification says nothing
-    l0_max = l_star * max(p["l0_factor"], 1.25 if p["search"] else 0.0)
+    l0_max = l_star * max(p["l0_factor"],
+                          thermomech.SEARCH_SPAN[1] if p["search"] else 0.0)
     shift = mech.theta_ph * l0_max * absorption.a_h0 / mech.kappa_m
     if shift <= -mech.omega_m:
         manifest.derived["domain_note"] = (
@@ -506,24 +511,21 @@ def _run_threshold_experiment(p, manifest, out_dir):
     })
 
     if p["search"]:
-        lo, hi = 0.8 * l_star, 1.25 * l_star
-        lo_grew = probe(lo)[0]
-        hi_grew = probe(hi)[0]
-        if lo_grew or not hi_grew:
+        # the first probe is passed on: under the search's monotone premise
+        # it decides every L0 on its side
+        bracket, probes = thermomech.bisect_threshold(
+            lambda l: probe(l)[0], l_star, p["search_rtol"], [(l0, grew)])
+        manifest.derived["search_probes"] = [
+            [l, "grew" if g else "decayed"] for l, g in probes]
+        if bracket is None:
             manifest.derived["search_note"] = (
                 "no growth/decay sign change inside [0.8, 1.25] x formula "
                 "threshold; simulated value not bracketed")
         else:
-            while (hi - lo) / l_star > p["search_rtol"]:
-                mid = 0.5 * (lo + hi)
-                if probe(mid)[0]:
-                    hi = mid
-                else:
-                    lo = mid
-            simulated = 0.5 * (lo + hi)
+            simulated = 0.5 * sum(bracket)
             manifest.derived.update({
                 "threshold_simulated": simulated,
-                "threshold_bracket": [lo, hi],
+                "threshold_bracket": list(bracket),
                 "threshold_relative_gap": simulated / l_star - 1.0,
             })
 

@@ -346,6 +346,85 @@ def mml_threshold(mech: MechParams, absorption: AbsorptionModel,
     return -mech.gamma_m / slope_total
 
 
+# the threshold search's interval, in units of the formula threshold
+SEARCH_SPAN = (0.8, 1.25)
+# the finest relative bracket width the search accepts: far below it the
+# midpoint of a bracket rounds to one of its ends and the width stops
+# shrinking, so the bisection would never end
+MIN_SEARCH_RTOL = 1e-12
+
+
+def search_constraint_findings(rtol: float) -> list[str]:
+    """Violations of :func:`bisect_threshold`'s tolerance constraint,
+    rtol >= 1e-12; an empty list means valid.  The search and the CLI's
+    config validation check it here.
+    """
+    if not rtol >= MIN_SEARCH_RTOL:
+        return [f"require search_rtol >= {MIN_SEARCH_RTOL:g}: a finer "
+                f"bracket is below float resolution (got {rtol:g})"]
+    return []
+
+
+def bisect_threshold(grows, l_star: float, rtol: float, known=()):
+    """Bracket the simulated growth threshold in ``SEARCH_SPAN`` * l_star.
+
+    ``grows(l0) -> bool`` runs one probe.  Bisection already assumes one
+    crossing, that is, growth monotone in L0; under that premise a growth
+    at g decides every L0 >= g and a decay at d every L0 <= d.  ``grows``
+    is called only where no earlier result decides the answer, whether it
+    was probed here or passed in ``known`` as ``(l0, grew)`` pairs.  The
+    points are taken in the order of plain bisection (the low end, the
+    high end, then midpoints until (hi - lo)/l_star <= rtol), so under the
+    premise the bracket is the one plain bisection finds, and an end of it
+    may be decided by an earlier result rather than probed.
+
+    Returns ``(bracket, probes)``: ``bracket`` is ``(lo, hi)``, or None
+    when the low end grows or the high end decays (no sign change inside
+    the span); ``probes`` lists the ``(l0, grew)`` calls made, in order.
+    Every decayed result lies below every grown one, so a bracket holds a
+    decayed and a grown L0, each probed or known, with lo <= d < g <= hi.
+    """
+    findings = search_constraint_findings(rtol)
+    if findings:
+        raise ValueError(findings[0])
+    if not 0.0 < l_star < math.inf:
+        raise ValueError(f"l_star must be positive and finite (got {l_star})")
+    # the highest decay and the lowest growth seen so far
+    decayed = max((l0 for l0, grew in known if not grew), default=-math.inf)
+    grown = min((l0 for l0, grew in known if grew), default=math.inf)
+    if not decayed < grown:
+        raise ValueError(f"known results are not monotone in L0: a decay at "
+                         f"{decayed!r} is not below a growth at {grown!r}")
+    probes = []
+
+    def classify(l0):
+        nonlocal decayed, grown
+        if l0 >= grown:
+            return True
+        if l0 <= decayed:
+            return False
+        # decayed < l0 < grown, so the result keeps every decay below
+        # every growth whatever grows() answers
+        grew = bool(grows(l0))
+        probes.append((l0, grew))
+        if grew:
+            grown = l0
+        else:
+            decayed = l0
+        return grew
+
+    lo, hi = SEARCH_SPAN[0] * l_star, SEARCH_SPAN[1] * l_star
+    if classify(lo) or not classify(hi):
+        return None, probes
+    while (hi - lo) / l_star > rtol:
+        mid = 0.5 * (lo + hi)
+        if classify(mid):
+            hi = mid
+        else:
+            lo = mid
+    return (lo, hi), probes
+
+
 def noise_figure(g_oa: float, n_pi: float) -> float:
     """Amplifier noise figure 2 n_PI (G - 1) / G."""
     findings = _gain_findings(g_oa)

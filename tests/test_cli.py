@@ -269,6 +269,65 @@ class TestRunExperiment:
         assert "domain_note" not in derived
         assert "threshold_bracket" in derived
 
+    # the benchmark's mml-search workload (bench/workloads.py, _mml_params)
+    # at the centre of its parameter ranges
+    MML_SEARCH = {
+        "m_m": 1e-12, "omega_m": 2 * np.pi * 4e5,
+        "gamma_m": 0.05 * 2 * np.pi * 4e5, "kappa_m": 0.01 * 2 * np.pi * 4e5,
+        "theta_ph": 0.0, "theta_fh": -1e-9, "a_h0": 1e5, "k_a1": -1e4,
+        "t_n": 0.01 * 2 * np.pi * 4e5, "coupling": 1e4 * 2 * np.pi * 4e5 * 1e4,
+        "beta_floor": 0.05, "n_cycles": 16, "steps_per_cycle": 500,
+        "store_every": 10, "search": True, "search_rtol": 0.05}
+
+    def test_search_reuses_the_first_probe(self, tmp_path, monkeypatch):
+        from ringlock import thermomech
+        simulate, drives = thermomech.simulate, []
+
+        def counting(mech, absorption, drive, **kwargs):
+            drives.append(drive.l0)
+            return simulate(mech, absorption, drive, **kwargs)
+        monkeypatch.setattr(thermomech, "simulate", counting)
+        derived = run_experiment(ExperimentConfig(
+            "mml", self.MML_SEARCH, 0, tmp_path / "search")).derived
+        # the first probe at 1.05 L* grew: it decides the high end and
+        # three of the four midpoints, so 3 simulations run instead of 7
+        assert len(drives) == 3
+        assert derived["classification"] == "grew"
+        assert derived["search_probes"] == [[l0, "decayed"]
+                                            for l0 in drives[1:]]
+        # the bracket the search found before it reused results, each
+        # point classified by a run of its own
+        l_star = derived["threshold_formula"]
+
+        def grows(l0):
+            params = dict(self.MML_SEARCH, search=False,
+                          l0_factor=l0 / l_star)
+            out = tmp_path / f"probe{len(drives)}"
+            return run_experiment(ExperimentConfig(
+                "mml", params, 0, out)).derived["classification"] == "grew"
+        lo, hi = 0.8 * l_star, 1.25 * l_star
+        assert not grows(lo) and grows(hi)
+        while (hi - lo) / l_star > self.MML_SEARCH["search_rtol"]:
+            mid = 0.5 * (lo + hi)
+            if grows(mid):
+                hi = mid
+            else:
+                lo = mid
+        assert len(drives) == 3 + 6    # with the first probe, 7
+        assert derived["threshold_bracket"] == [lo, hi]
+
+    def test_manifest_is_byte_identical_on_rerun(self, tmp_path):
+        # everything but the timestamp, the search's probes included
+        texts = []
+        for _ in range(2):
+            run_experiment(ExperimentConfig("mml", self.MML_SEARCH, 0,
+                                            tmp_path))
+            text = (tmp_path / "mml_manifest.json").read_text()
+            texts.append([line for line in text.splitlines()
+                          if not line.lstrip().startswith('"timestamp"')])
+        assert texts[0] == texts[1]
+        assert '"search_probes"' in "\n".join(texts[0])
+
     def test_lattice_trajectory_table(self, tmp_path):
         params = dict(LATTICE_PARAMS, n_steps=5000, store_trajectory=True,
                       traj_every=500)
@@ -394,6 +453,11 @@ class TestMainEntry:
                     mml, steps_per_cycle=49)}, "steps per mechanical period"),
                 ("floor.json", {"experiment": "mml", "parameters": dict(
                     mml, beta_floor=1e-7)}, "beta_floor"),
+                ("mml_x0.json", {"experiment": "mml", "parameters": dict(
+                    mml, x0=0.0)}, "x0"),
+                ("rtol.json", {"experiment": "seo", "parameters": dict(
+                    TestRunExperiment.SEO_BASE, n_cycles=300,
+                    steps_per_cycle=50, search_rtol=1e-17)}, "search_rtol"),
                 ("adler.json", {"experiment": "adler", "parameters": dict(
                     ADLER_PARAMS, duration=0.001, sample_rate=1000.0)},
                  "Welch segment"),

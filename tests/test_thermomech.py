@@ -7,12 +7,13 @@ from ringlock.engine import rk4_step
 from ringlock.thermomech import (AbsorptionModel, InstabilityError,
                                  InsufficientDataError, IntensityDrive,
                                  MechParams, MirrorTrajectory, NoiseChain,
-                                 aluminum_device, cw_fixed_point,
-                                 drive_intensity, effective_noise,
-                                 effective_params, gamma_h0, gamma_h1,
-                                 linear_response_oracle, mml_threshold,
-                                 noise_figure, ringdown_extract, seo_threshold,
-                                 simulate, theta_t)
+                                 aluminum_device, bisect_threshold,
+                                 cw_fixed_point, drive_intensity,
+                                 effective_noise, effective_params, gamma_h0,
+                                 gamma_h1, linear_response_oracle,
+                                 mml_threshold, noise_figure,
+                                 ringdown_extract, search_constraint_findings,
+                                 seo_threshold, simulate, theta_t)
 
 
 def small_mirror(gamma_ratio=0.005, kappa_ratio=0.01, theta_ph=0.0,
@@ -480,6 +481,130 @@ class TestThresholdBracketing:
             amp = np.hypot(traj.x[tail] - x_eq,
                            traj.v[tail] / omega_m).mean()
             assert (amp > a0) == grows, f"factor {fac}: amp/a0={amp/a0:.4f}"
+
+
+def plain_bisection(grows, l_star, rtol):
+    """The search as written before it reused results: both ends, then
+    every midpoint, each probed."""
+    calls = []
+
+    def probe(l0):
+        calls.append(l0)
+        return grows(l0)
+    lo, hi = 0.8 * l_star, 1.25 * l_star
+    lo_grew = probe(lo)
+    hi_grew = probe(hi)
+    if lo_grew or not hi_grew:
+        return None, calls
+    while (hi - lo) / l_star > rtol:
+        mid = 0.5 * (lo + hi)
+        if probe(mid):
+            hi = mid
+        else:
+            lo = mid
+    return (lo, hi), calls
+
+
+class TestBisectThreshold:
+    """The threshold search on synthetic classifiers; nothing simulated."""
+
+    @staticmethod
+    def recorder(grows):
+        calls = []
+
+        def probe(l0):
+            calls.append(l0)
+            return grows(l0)
+        return probe, calls
+
+    def test_step_functions_match_plain_bisection(self):
+        rng = np.random.default_rng(12)
+        l_star = 3.7e4
+        for _ in range(300):
+            rtol = float(rng.choice([0.3, 0.05, 0.004, 1e-9]))
+            crossing = l_star * rng.uniform(0.6, 1.4)
+            inclusive = bool(rng.integers(2))
+
+            def grows(l0, c=crossing, inclusive=inclusive):
+                return l0 >= c if inclusive else l0 > c
+            expected, plain_calls = plain_bisection(grows, l_star, rtol)
+            # known results at random points, the plain search's own
+            # points among them, classified by the same step
+            pool = np.concatenate([l_star * rng.uniform(0.3, 2.0, 8),
+                                   rng.choice(plain_calls, 3)])
+            known = [(float(l0), grows(l0))
+                     for l0 in rng.choice(pool, rng.integers(0, 6))]
+            probe, calls = self.recorder(grows)
+            bracket, probes = bisect_threshold(probe, l_star, rtol, known)
+            assert bracket == expected, (crossing, known)
+            assert len(calls) <= len(plain_calls)
+            assert [l0 for l0, _ in probes] == calls
+            assert all(grew == grows(l0) for l0, grew in probes)
+            # in the order plain bisection takes them, and never twice
+            assert calls == [l0 for l0 in plain_calls if l0 in calls]
+            assert len(set(calls)) == len(calls)
+            if not known:
+                # a growth at the low end decides the high end too
+                assert calls == plain_calls[:1 if grows(plain_calls[0])
+                                            else None]
+
+    def test_known_result_decides_its_side(self):
+        # the threshold workload's case: the first probe, at 1.05 L*, grew,
+        # which decides the high end and three of the four midpoints
+        l_star = 1.0e4
+        probe, calls = self.recorder(lambda l0: l0 > 1.038 * l_star)
+        bracket, probes = bisect_threshold(probe, l_star, 0.05,
+                                           [(1.05 * l_star, True)])
+        assert probes == [(0.8 * l_star, False), (1.025 * l_star, False)]
+        assert bracket == plain_bisection(lambda l0: l0 > 1.038 * l_star,
+                                          l_star, 0.05)[0]
+        assert bracket[1] - bracket[0] <= 0.05 * l_star
+        # a growth below the span decides all of it: no probe, no bracket
+        probe, calls = self.recorder(lambda l0: True)
+        assert bisect_threshold(probe, l_star, 0.05,
+                                [(0.5 * l_star, True)]) == (None, [])
+        assert calls == []
+
+    def test_non_monotone_brackets_hold_a_sign_change(self):
+        rng = np.random.default_rng(7)
+        l_star = 1.0
+        for _ in range(400):
+            table = {}
+
+            def grows(l0):
+                # an arbitrary answer per point, fixed once drawn
+                return table.setdefault(l0, bool(rng.integers(2)))
+            known = [(float(l0), grows(l0))
+                     for l0 in rng.uniform(0.5, 1.5, rng.integers(0, 4))]
+            decays = [l0 for l0, g in known if not g]
+            growths = [l0 for l0, g in known if g]
+            if decays and growths and max(decays) >= min(growths):
+                with pytest.raises(ValueError, match="not monotone"):
+                    bisect_threshold(grows, l_star, 0.01, known)
+                continue
+            bracket, probes = bisect_threshold(grows, l_star, 0.01, known)
+            seen = known + probes
+            if bracket is None:
+                continue
+            lo, hi = bracket
+            assert (hi - lo) / l_star <= 0.01
+            assert any(lo <= d < g <= hi for d, dg in seen if not dg
+                       for g, gg in seen if gg), (bracket, seen)
+
+    @pytest.mark.parametrize("rtol", [1e-13, 1e-17, 0.0, -0.1, math.nan])
+    def test_too_small_rtol_raises(self, rtol):
+        assert search_constraint_findings(rtol)
+        probe, calls = self.recorder(lambda l0: l0 > 1.0)
+        with pytest.raises(ValueError, match="search_rtol"):
+            bisect_threshold(probe, 1.0, rtol)
+        assert calls == []
+        assert search_constraint_findings(1e-12) == []
+        assert bisect_threshold(probe, 1.0, 1e-12)[0] is not None
+
+    @pytest.mark.parametrize("l_star", [0.0, -1.0, math.inf, math.nan])
+    def test_l_star_must_be_positive_and_finite(self, l_star):
+        with pytest.raises(ValueError, match="l_star"):
+            bisect_threshold(lambda l0: True, l_star, 0.05)
 
 
 class TestClosedLoopDrive:
