@@ -314,6 +314,13 @@ class LatticeRunStats:
     moment with batch-means error ``diff_sq_se``.  When trajectory
     recording is on, ``traj_time``/``traj_theta`` hold the decimated phase
     history (rows = recorded steps).
+
+    The batch-means errors understate the spread between seeds when the
+    run is short beside the chain's slowest relaxation time, about
+    N^2/(pi^2 mu_M): at N = 64, beta_N = 0.1 and 3e5 steps, ``diff_sq_se``
+    reads 0.0038 in the mean over 40 seeds, where ``diff_sq`` spreads
+    between those seeds with an sd of 0.0074, about 2x more.  Replica
+    ensembles are the planned remedy (ROADMAP, open item 4).
     """
 
     n_samples: int

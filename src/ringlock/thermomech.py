@@ -371,8 +371,9 @@ def bisect_threshold(grows, l_star: float, rtol: float, known=()):
     ``grows(l0) -> bool`` runs one probe.  Bisection already assumes one
     crossing, that is, growth monotone in L0; under that premise a growth
     at g decides every L0 >= g and a decay at d every L0 <= d.  ``grows``
-    is called only where no earlier result decides the answer, whether it
-    was probed here or passed in ``known`` as ``(l0, grew)`` pairs.  The
+    is called only where no earlier result decides the answer: the
+    results passed in ``known`` as ``(l0, grew)`` pairs, and the search's
+    own, which bisection never needs twice.  The
     points are taken in the order of plain bisection (the low end, the
     high end, then midpoints until (hi - lo)/l_star <= rtol), so under the
     premise the bracket is the one plain bisection finds, and an end of it
@@ -389,7 +390,10 @@ def bisect_threshold(grows, l_star: float, rtol: float, known=()):
         raise ValueError(findings[0])
     if not 0.0 < l_star < math.inf:
         raise ValueError(f"l_star must be positive and finite (got {l_star})")
-    # the highest decay and the lowest growth seen so far
+    # the highest known decay and the lowest known growth.  A probe's own
+    # result never decides a later point: every midpoint lies strictly
+    # inside the bracket its earlier results left, and a growth at the
+    # low end ends the search before the high end
     decayed = max((l0 for l0, grew in known if not grew), default=-math.inf)
     grown = min((l0 for l0, grew in known if grew), default=math.inf)
     if not decayed < grown:
@@ -398,19 +402,12 @@ def bisect_threshold(grows, l_star: float, rtol: float, known=()):
     probes = []
 
     def classify(l0):
-        nonlocal decayed, grown
         if l0 >= grown:
             return True
         if l0 <= decayed:
             return False
-        # decayed < l0 < grown, so the result keeps every decay below
-        # every growth whatever grows() answers
         grew = bool(grows(l0))
         probes.append((l0, grew))
-        if grew:
-            grown = l0
-        else:
-            decayed = l0
         return grew
 
     lo, hi = SEARCH_SPAN[0] * l_star, SEARCH_SPAN[1] * l_star

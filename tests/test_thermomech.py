@@ -540,9 +540,11 @@ class TestBisectThreshold:
             assert len(calls) <= len(plain_calls)
             assert [l0 for l0, _ in probes] == calls
             assert all(grew == grows(l0) for l0, grew in probes)
-            # in the order plain bisection takes them, and never twice
+            # in the order plain bisection takes them, never twice, and
+            # never at a point already known
             assert calls == [l0 for l0 in plain_calls if l0 in calls]
             assert len(set(calls)) == len(calls)
+            assert not set(calls) & {l0 for l0, _ in known}
             if not known:
                 # a growth at the low end decides the high end too
                 assert calls == plain_calls[:1 if grows(plain_calls[0])
