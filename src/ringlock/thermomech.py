@@ -373,11 +373,11 @@ def bisect_threshold(grows, l_star: float, rtol: float, known=()):
     at g decides every L0 >= g and a decay at d every L0 <= d.  ``grows``
     is called only where no earlier result decides the answer: the
     results passed in ``known`` as ``(l0, grew)`` pairs, and the search's
-    own, which bisection never needs twice.  The
-    points are taken in the order of plain bisection (the low end, the
-    high end, then midpoints until (hi - lo)/l_star <= rtol), so under the
-    premise the bracket is the one plain bisection finds, and an end of it
-    may be decided by an earlier result rather than probed.
+    own, which bisection never needs twice.  The points are taken in the
+    order of plain bisection (the low end, the high end, then midpoints
+    until (hi - lo)/l_star <= rtol), so under the premise the bracket is
+    the one plain bisection finds, and an end of it may be decided by an
+    earlier result rather than probed.
 
     Returns ``(bracket, probes)``: ``bracket`` is ``(lo, hi)``, or None
     when the low end grows or the high end decays (no sign change inside
