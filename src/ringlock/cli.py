@@ -518,9 +518,11 @@ def _run_threshold_experiment(p, manifest, out_dir):
         manifest.derived["search_probes"] = [
             [l, "grew" if g else "decayed"] for l, g in probes]
         if bracket is None:
+            span_lo, span_hi = thermomech.SEARCH_SPAN
             manifest.derived["search_note"] = (
-                "no growth/decay sign change inside [0.8, 1.25] x formula "
-                "threshold; simulated value not bracketed")
+                f"no growth/decay sign change inside [{span_lo:g}, "
+                f"{span_hi:g}] x formula threshold; simulated value not "
+                "bracketed")
         else:
             simulated = 0.5 * sum(bracket)
             manifest.derived.update({

@@ -373,11 +373,14 @@ def bisect_threshold(grows, l_star: float, rtol: float, known=()):
     at g decides every L0 >= g and a decay at d every L0 <= d.  ``grows``
     is called only where no earlier result decides the answer: the
     results passed in ``known`` as ``(l0, grew)`` pairs, and the search's
-    own, which bisection never needs twice.  The points are taken in the
-    order of plain bisection (the low end, the high end, then midpoints
-    until (hi - lo)/l_star <= rtol), so under the premise the bracket is
-    the one plain bisection finds, and an end of it may be decided by an
-    earlier result rather than probed.
+    own, which bisection never needs twice.  The first midpoint is taken
+    before the span's ends: its growth decides the high end and its decay
+    the low end, so only the other end is classified after it.  The later
+    midpoints follow in plain bisection's order, with the same floats,
+    until (hi - lo)/l_star <= rtol; when the span is no wider than rtol
+    there is no midpoint and both ends are classified.  Under the premise
+    the bracket, or None, is the one plain bisection finds, and an end of
+    it may be decided by another result rather than probed.
 
     Returns ``(bracket, probes)``: ``bracket`` is ``(lo, hi)``, or None
     when the low end grows or the high end decays (no sign change inside
@@ -391,9 +394,9 @@ def bisect_threshold(grows, l_star: float, rtol: float, known=()):
     if not 0.0 < l_star < math.inf:
         raise ValueError(f"l_star must be positive and finite (got {l_star})")
     # the highest known decay and the lowest known growth.  A probe's own
-    # result never decides a later point: every midpoint lies strictly
-    # inside the bracket its earlier results left, and a growth at the
-    # low end ends the search before the high end
+    # result never decides a later point: the end the first midpoint
+    # decides is never classified, and every later midpoint lies strictly
+    # inside the bracket the earlier results left
     decayed = max((l0 for l0, grew in known if not grew), default=-math.inf)
     grown = min((l0 for l0, grew in known if grew), default=math.inf)
     if not decayed < grown:
@@ -411,14 +414,20 @@ def bisect_threshold(grows, l_star: float, rtol: float, known=()):
         return grew
 
     lo, hi = SEARCH_SPAN[0] * l_star, SEARCH_SPAN[1] * l_star
-    if classify(lo) or not classify(hi):
-        return None, probes
+    ends_open = True    # the first midpoint decides one, the other is next
     while (hi - lo) / l_star > rtol:
         mid = 0.5 * (lo + hi)
         if classify(mid):
+            if ends_open and classify(lo):
+                return None, probes
             hi = mid
+        elif ends_open and not classify(hi):
+            return None, probes
         else:
             lo = mid
+        ends_open = False
+    if ends_open and (classify(lo) or not classify(hi)):
+        return None, probes
     return (lo, hi), probes
 
 

@@ -290,14 +290,15 @@ class TestRunExperiment:
         derived = run_experiment(ExperimentConfig(
             "mml", self.MML_SEARCH, 0, tmp_path / "search")).derived
         # the first probe at 1.05 L* grew: it decides the high end and
-        # three of the four midpoints, so 3 simulations run instead of 7
-        assert len(drives) == 3
+        # three of the four midpoints, and the first midpoint, 1.025 L*,
+        # decays and decides the low end, so 2 simulations run where 7 did
+        l_star = derived["threshold_formula"]
+        assert len(drives) == 2
         assert derived["classification"] == "grew"
-        assert derived["search_probes"] == [[l0, "decayed"]
-                                            for l0 in drives[1:]]
+        assert drives[1] == 0.5 * (0.8 * l_star + 1.25 * l_star)
+        assert derived["search_probes"] == [[drives[1], "decayed"]]
         # the bracket the search found before it reused results, each
         # point classified by a run of its own
-        l_star = derived["threshold_formula"]
 
         def grows(l0):
             params = dict(self.MML_SEARCH, search=False,
@@ -313,8 +314,22 @@ class TestRunExperiment:
                 hi = mid
             else:
                 lo = mid
-        assert len(drives) == 3 + 6    # with the first probe, 7
+        assert len(drives) == 2 + 6    # with the first probe, 7
         assert derived["threshold_bracket"] == [lo, hi]
+
+    def test_search_note_names_the_span(self, tmp_path, monkeypatch):
+        # the note is formatted from SEARCH_SPAN, not written out
+        from ringlock import thermomech
+        monkeypatch.setattr(thermomech, "SEARCH_SPAN", (0.75, 1.5))
+        monkeypatch.setattr(thermomech, "bisect_threshold",
+                            lambda *args, **kwargs: (None, []))
+        derived = run_experiment(ExperimentConfig(
+            "mml", self.MML_SEARCH, 0, tmp_path)).derived
+        assert derived["search_note"] == (
+            "no growth/decay sign change inside [0.75, 1.5] x formula "
+            "threshold; simulated value not bracketed")
+        assert derived["search_probes"] == []
+        assert "threshold_bracket" not in derived
 
     def test_manifest_is_byte_identical_on_rerun(self, tmp_path):
         # everything but the timestamp, the search's probes included

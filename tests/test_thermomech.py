@@ -537,27 +537,38 @@ class TestBisectThreshold:
             probe, calls = self.recorder(grows)
             bracket, probes = bisect_threshold(probe, l_star, rtol, known)
             assert bracket == expected, (crossing, known)
+            lo, hi = plain_calls[:2]
+            wide = (hi - lo) / l_star > rtol
             assert len(calls) <= len(plain_calls)
+            if expected is not None and wide:
+                assert len(calls) < len(plain_calls)
             assert [l0 for l0, _ in probes] == calls
             assert all(grew == grows(l0) for l0, grew in probes)
-            # in the order plain bisection takes them, never twice, and
-            # never at a point already known
-            assert calls == [l0 for l0 in plain_calls if l0 in calls]
+            # the first midpoint, the end it leaves open, then plain
+            # bisection's midpoints: [lo, hi, m1, m2, ...] becomes
+            # [m1, lo if m1 grew else hi, m2, ...], less the points a known
+            # result decides; without a midpoint a growing low end stops it
+            if wide:
+                m1 = 0.5 * (lo + hi)
+                order = [m1, lo if grows(m1) else hi] + plain_calls[3:]
+            else:
+                order = [lo] if grows(lo) else [lo, hi]
+            decayed = max((l0 for l0, g in known if not g), default=-math.inf)
+            grown = min((l0 for l0, g in known if g), default=math.inf)
+            assert calls == [l0 for l0 in order if decayed < l0 < grown]
+            # never twice, and never at a point already known
             assert len(set(calls)) == len(calls)
             assert not set(calls) & {l0 for l0, _ in known}
-            if not known:
-                # a growth at the low end decides the high end too
-                assert calls == plain_calls[:1 if grows(plain_calls[0])
-                                            else None]
 
     def test_known_result_decides_its_side(self):
         # the threshold workload's case: the first probe, at 1.05 L*, grew,
-        # which decides the high end and three of the four midpoints
+        # which decides the high end and three of the four midpoints; the
+        # first midpoint decays and decides the low end
         l_star = 1.0e4
         probe, calls = self.recorder(lambda l0: l0 > 1.038 * l_star)
         bracket, probes = bisect_threshold(probe, l_star, 0.05,
                                            [(1.05 * l_star, True)])
-        assert probes == [(0.8 * l_star, False), (1.025 * l_star, False)]
+        assert probes == [(1.025 * l_star, False)]
         assert bracket == plain_bisection(lambda l0: l0 > 1.038 * l_star,
                                           l_star, 0.05)[0]
         assert bracket[1] - bracket[0] <= 0.05 * l_star
@@ -566,6 +577,43 @@ class TestBisectThreshold:
         assert bisect_threshold(probe, l_star, 0.05,
                                 [(0.5 * l_star, True)]) == (None, [])
         assert calls == []
+
+    @pytest.mark.parametrize("crossing, grew", [(0.7, True), (1.3, False)])
+    def test_no_sign_change_ends_at_the_open_end(self, crossing, grew):
+        # the low end grows (the high end decays): the first midpoint grows
+        # (decays), and the end it leaves open is the last probe
+        l_star = 1.0e4
+        lo, hi = 0.8 * l_star, 1.25 * l_star
+        assert bisect_threshold(lambda l0: l0 > crossing * l_star, l_star,
+                                0.05) == (None, [(0.5 * (lo + hi), grew),
+                                                 (lo if grew else hi, grew)])
+
+    @pytest.mark.parametrize("rtol", [0.45, 0.5, 2.0])
+    def test_span_within_rtol_probes_the_ends_only(self, rtol):
+        # (1.25 - 0.8) l_star / l_star rounds below 0.45 at l_star = 1
+        l_star = 1.0
+        for crossing in (0.7, 1.0, 1.3):
+            def grows(l0, c=crossing):
+                return l0 > c
+            probe, calls = self.recorder(grows)
+            bracket, _ = bisect_threshold(probe, l_star, rtol)
+            assert bracket == plain_bisection(grows, l_star, rtol)[0]
+            assert calls == ([0.8] if crossing < 0.8 else [0.8, 1.25])
+
+    def test_known_ends_leave_only_midpoints(self):
+        l_star = 1.0e4
+        lo, hi = 0.8 * l_star, 1.25 * l_star
+
+        def grows(l0):
+            return l0 > 1.1 * l_star
+        expected, plain_calls = plain_bisection(grows, l_star, 0.01)
+        for d, g in ((lo, hi), (0.9 * l_star, 1.2 * l_star)):
+            probe, calls = self.recorder(grows)
+            bracket, _ = bisect_threshold(probe, l_star, 0.01,
+                                          [(d, False), (g, True)])
+            assert bracket == expected
+            assert calls == [l0 for l0 in plain_calls[2:] if d < l0 < g]
+            assert lo < min(calls) and max(calls) < hi
 
     def test_non_monotone_brackets_hold_a_sign_change(self):
         rng = np.random.default_rng(7)
