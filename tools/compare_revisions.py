@@ -73,6 +73,11 @@ def log(message):
     print(message, file=sys.stderr, flush=True)
 
 
+def git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 def export(rev, dest):
     dest.mkdir(parents=True)
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
@@ -232,7 +237,6 @@ def main(argv=None):
                         help="first-last, inclusive")
     parser.add_argument("--work", required=True, type=Path,
                         help="an empty or absent scratch directory")
-    parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
     first, last = (int(s) for s in args.seeds.split("-"))
     seeds = range(first, last + 1)
@@ -240,13 +244,12 @@ def main(argv=None):
 
     revisions = {}
     for side in SIDES:
-        rev = subprocess.run(
-            ["git", "-C", str(ROOT), "rev-parse", getattr(args, side)],
-            check=True, capture_output=True, text=True).stdout.strip()
+        rev = git("rev-parse", getattr(args, side))
         revisions[side] = rev
         export(rev, args.work / side)
     record = {
-        "label": args.label, "what": args.what,
+        "label": args.label,
+        "what": git("log", "-1", "--format=%s", revisions["change"]),
         "env": {"nproc": os.cpu_count(), "machine": platform.machine(),
                 "python": platform.python_version(),
                 "numpy": np.__version__, "scipy": scipy.__version__,
