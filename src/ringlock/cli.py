@@ -247,14 +247,15 @@ def _constraint_findings(experiment: str, p: dict) -> list[str]:
         return thermomech.noise_constraint_findings(p["g_oa"], p["n_pi"])
     findings = thermomech.mech_constraint_findings(
         p["m_m"], p["omega_m"], p["gamma_m"], p["kappa_m"])
-    findings += thermomech.step_constraint_findings(_threshold_dt(p),
-                                                    p["omega_m"])
+    t_end, dt = _threshold_times(p)
+    findings += thermomech.step_constraint_findings(dt, p["omega_m"])
+    findings += thermomech.probe_constraint_findings(
+        "closed_loop" if experiment == "mml" else "cw", p["x0"], t_end, dt,
+        p["store_every"])
     if p["search"]:
         findings += thermomech.search_constraint_findings(p["search_rtol"])
     if experiment == "mml":
         findings += comb.constraint_findings(p["beta_floor"], "beta_floor")
-        if p["x0"] == 0.0:   # the probe measures growth against |x0|
-            findings.append("mml requires x0 != 0 (the seed amplitude)")
     return findings
 
 
@@ -407,10 +408,11 @@ def _run_adler(p, manifest, out_dir):
     })
 
 
-def _threshold_dt(p):
-    """The RK4 step of a seo/mml run: steps_per_cycle per mechanical
-    period."""
-    return 2.0 * np.pi / (p["steps_per_cycle"] * p["omega_m"])
+def _threshold_times(p):
+    """(t_end, dt) of a seo/mml probe: n_cycles mechanical periods of
+    steps_per_cycle RK4 steps each."""
+    return (p["n_cycles"] * 2.0 * np.pi / p["omega_m"],
+            2.0 * np.pi / (p["steps_per_cycle"] * p["omega_m"]))
 
 
 def _run_threshold_experiment(p, manifest, out_dir):
@@ -427,9 +429,7 @@ def _run_threshold_experiment(p, manifest, out_dir):
     manifest.derived["threshold_formula"] = l_star
     if mml and np.isfinite(l_star):
         seo_opposite = thermomech.seo_threshold(
-            mech, thermomech.AbsorptionModel(
-                a_h0=absorption.a_h0, k_a1=-absorption.k_a1,
-                k_a2=absorption.k_a2))
+            mech, dataclasses.replace(absorption, k_a1=-absorption.k_a1))
         manifest.derived["seo_threshold_opposite_detuning"] = seo_opposite
         manifest.derived["threshold_ratio"] = l_star / seo_opposite
     if not np.isfinite(l_star):
@@ -449,55 +449,20 @@ def _run_threshold_experiment(p, manifest, out_dir):
             " outside the model's small-shift domain: a probe whose thermal"
             " frequency omega_m + Theta_PH*T_R reaches zero halts there, and"
             " its 'grew' marks that halt, not an instability")
-    x0 = p["x0"]
-    if x0 is None:
-        # canonical seeds: mode locking is probed at the amplitude where
-        # the slaved-pulse pumping equals |gamma_H1|
-        if mml:
-            x0 = p["t_n"] / (mech.omega_m * abs(absorption.k_a1))
-        else:
-            x0 = 1e-4 / abs(absorption.k_a1)
-    dt = _threshold_dt(p)
-    t_end = p["n_cycles"] * 2.0 * np.pi / mech.omega_m
-    store_every = p["store_every"]
-
-    def probe(l0):
-        """Run one trajectory at L0; report (grew?, amplitude ratio,
-        trajectory, halt time or None).
-
-        The SEO instability grows or decays exponentially, so a late
-        window of the oscillation amplitude (about the instantaneous
-        thermal equilibrium) is compared against an early one, which
-        cancels the thermal-settling transient.  The closed-loop MML
-        amplitude instead self-regulates to (L0/L*) times the seed within
-        a few pumping times, so it is compared against the seed amplitude
-        directly.
-        """
-        if mml:
-            drive = thermomech.IntensityDrive.closed_loop(
-                l0, coupling=p["coupling"], beta_floor=p["beta_floor"],
-                t_n=p["t_n"])
-        else:
-            drive = thermomech.IntensityDrive.cw(l0)
-        try:
-            traj = thermomech.simulate(mech, absorption, drive, x0=x0,
-                                       v0=0.0, t_end=t_end, dt=dt,
-                                       store_every=store_every)
-        except thermomech.InstabilityError as err:
-            return True, np.inf, err.trajectory, err.t
-        w_inst = mech.omega_m + mech.theta_ph * traj.t_r_rel
-        x_eq = mech.theta_fh * traj.t_r_rel / (mech.m_m * w_inst ** 2)
-        amp = np.hypot(traj.x - x_eq, traj.v / mech.omega_m)
-        t_frac = traj.time / traj.time[-1]
-        late = float(amp[t_frac > 0.8].mean())
-        if mml:
-            reference = abs(x0)
-        else:
-            reference = float(amp[(t_frac > 0.3) & (t_frac <= 0.5)].mean())
-        return late > reference, late / reference, traj, None
-
+    # canonical seeds, when x0 is not given: mode locking is probed at the
+    # amplitude where the slaved-pulse pumping equals |gamma_H1|
     l0 = p["l0_factor"] * l_star
-    grew, ratio, traj, halted = probe(l0)
+    if mml:
+        drive = thermomech.IntensityDrive.closed_loop(
+            l0, p["coupling"], p["beta_floor"], p["t_n"])
+        x0 = p["t_n"] / (mech.omega_m * abs(absorption.k_a1))
+    else:
+        drive = thermomech.IntensityDrive.cw(l0)
+        x0 = 1e-4 / abs(absorption.k_a1)
+    x0 = x0 if p["x0"] is None else p["x0"]
+    run = (x0, *_threshold_times(p), p["store_every"])
+    grew, ratio, traj, halted = thermomech.probe_growth(
+        mech, absorption, drive, *run)
     _write_table(manifest, out_dir, "trajectory",
                  ["time_s", "x_m", "v_m_per_s", "t_r_kelvin"],
                  [traj.time, traj.x, traj.v, traj.t_r_rel])
@@ -514,7 +479,9 @@ def _run_threshold_experiment(p, manifest, out_dir):
         # the first probe is passed on: under the search's monotone premise
         # it decides every L0 on its side
         bracket, probes = thermomech.bisect_threshold(
-            lambda l: probe(l)[0], l_star, p["search_rtol"], [(l0, grew)])
+            lambda l: thermomech.probe_growth(
+                mech, absorption, dataclasses.replace(drive, l0=l), *run)[0],
+            l_star, p["search_rtol"], [(l0, grew)])
         manifest.derived["search_probes"] = [
             [l, "grew" if g else "decayed"] for l, g in probes]
         if bracket is None:

@@ -319,8 +319,7 @@ def seo_threshold(mech: MechParams, absorption: AbsorptionModel) -> float:
     L* = -2 gamma_m m_m w_m^2 / (k_A1 Theta_FH A_H0).  Returns inf when the
     sign combination is stabilizing (no finite threshold).
     """
-    slope = absorption.k_a1 * mech.theta_fh * absorption.a_h0 \
-        / (2.0 * mech.m_m * mech.omega_m ** 2)
+    slope = gamma_h0(mech, absorption, 1.0)
     if slope >= 0.0:
         return float("inf")
     return -mech.gamma_m / slope
@@ -338,8 +337,7 @@ def mml_threshold(mech: MechParams, absorption: AbsorptionModel,
     """
     if t_n <= 0.0:
         raise ValueError("t_n must be positive")
-    slope = absorption.k_a1 * mech.theta_fh * absorption.a_h0 \
-        / (2.0 * mech.m_m * mech.omega_m ** 2)
+    slope = gamma_h0(mech, absorption, 1.0)
     slope_total = slope * (1.0 - 2.0 * mech.omega_m / t_n)
     if slope_total >= 0.0:
         return float("inf")
@@ -710,6 +708,68 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
             j += 1
 
     return MirrorTrajectory(time[:j], xa[:j], va[:j], ta[:j])
+
+
+# the growth probe's amplitude windows, as fractions of the last stored
+# time: it classifies the late one, t/t_last > 0.8, and under CW compares
+# it with the reference one, 0.3 < t/t_last <= 0.5, after thermal settling
+LATE_WINDOW = 0.8
+REFERENCE_WINDOW = (0.3, 0.5)
+
+
+def probe_constraint_findings(mode: str, x0: float, t_end: float, dt: float,
+                              store_every: int) -> list[str]:
+    """Violations of :func:`probe_growth`'s constraints; an empty list means
+    valid.  A closed-loop probe measures growth against |x0|, so needs
+    x0 != 0, and every window the probe reads must hold a stored sample.
+    The probe and the CLI's config validation check them here.
+    """
+    findings = ["mml requires x0 != 0 (the seed amplitude)"] \
+        if mode == "closed_loop" and x0 == 0.0 else []
+    # simulate() stores t/t_last = k/n for k = 0..n, so (lo, hi] holds a
+    # sample iff floor(hi*n) > lo*n; the late window holds k = n whenever
+    # the reference window holds a sample
+    n = int(round(t_end / dt)) // store_every
+    lo, hi = (LATE_WINDOW, 1.0) if mode == "closed_loop" else REFERENCE_WINDOW
+    if not math.floor(hi * n) > lo * n:
+        findings.append(f"store_every = {store_every} leaves the growth "
+                        f"probe no sample at {lo:g} < t/t_last <= {hi:g}")
+    return findings
+
+
+def probe_growth(mech: MechParams, absorption: AbsorptionModel,
+                 drive: IntensityDrive, x0: float, t_end: float, dt: float,
+                 store_every: int):
+    """Run one trajectory from rest at x0; report (grew?, amplitude ratio,
+    trajectory, halt time or None).
+
+    A run that halts with :class:`InstabilityError` counts as grown, with
+    ratio inf.  The amplitude is measured about the instantaneous thermal
+    equilibrium and averaged over the late window.  The SEO instability
+    grows or decays exponentially, so under CW that mean is compared with
+    the reference window's, which cancels the thermal-settling transient.
+    The closed-loop MML amplitude instead self-regulates to (L0/L*) times
+    the seed within a few pumping times, so under ``closed_loop`` it is
+    compared with |x0| directly.
+    """
+    findings = probe_constraint_findings(drive.mode, x0, t_end, dt,
+                                         store_every)
+    if findings:
+        raise ValueError("; ".join(findings))
+    try:
+        traj = simulate(mech, absorption, drive, x0=x0, v0=0.0, t_end=t_end,
+                        dt=dt, store_every=store_every)
+    except InstabilityError as err:
+        return True, np.inf, err.trajectory, err.t
+    w_inst = mech.omega_m + mech.theta_ph * traj.t_r_rel
+    x_eq = mech.theta_fh * traj.t_r_rel / (mech.m_m * w_inst ** 2)
+    amp = np.hypot(traj.x - x_eq, traj.v / mech.omega_m)
+    t_frac = traj.time / traj.time[-1]
+    late = float(amp[t_frac > LATE_WINDOW].mean())
+    lo, hi = REFERENCE_WINDOW
+    reference = abs(x0) if drive.mode == "closed_loop" \
+        else float(amp[(t_frac > lo) & (t_frac <= hi)].mean())
+    return late > reference, late / reference, traj, None
 
 
 def ringdown_extract(traj: MirrorTrajectory):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -30,11 +31,11 @@ ADLER_PARAMS = {"omega_am": 2333575.02, "omega_r": 2332946.70,
                 "duration": 0.0625, "sample_rate": 1048576.0}
 
 
-def _bench_child():
-    """bench/child.py, loaded as a module."""
+def _bench_child(name="child"):
+    """bench/<name>.py, loaded as a module."""
     import importlib.util
-    path = Path(__file__).resolve().parents[1] / "bench" / "child.py"
-    spec = importlib.util.spec_from_file_location("bench_child", path)
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
     return child
@@ -281,10 +282,10 @@ class TestRunExperiment:
 
     def test_search_reuses_the_first_probe(self, tmp_path, monkeypatch):
         from ringlock import thermomech
-        simulate, drives = thermomech.simulate, []
+        simulate, calls = thermomech.simulate, []
 
         def counting(mech, absorption, drive, **kwargs):
-            drives.append(drive.l0)
+            calls.append((mech, absorption, drive, kwargs))
             return simulate(mech, absorption, drive, **kwargs)
         monkeypatch.setattr(thermomech, "simulate", counting)
         derived = run_experiment(ExperimentConfig(
@@ -293,19 +294,18 @@ class TestRunExperiment:
         # three of the four midpoints, and the first midpoint, 1.025 L*,
         # decays and decides the low end, so 2 simulations run where 7 did
         l_star = derived["threshold_formula"]
-        assert len(drives) == 2
+        assert len(calls) == 2
         assert derived["classification"] == "grew"
-        assert drives[1] == 0.5 * (0.8 * l_star + 1.25 * l_star)
-        assert derived["search_probes"] == [[drives[1], "decayed"]]
-        # the bracket the search found before it reused results, each
-        # point classified by a run of its own
+        assert calls[1][2].l0 == 0.5 * (0.8 * l_star + 1.25 * l_star)
+        assert derived["search_probes"] == [[calls[1][2].l0, "decayed"]]
+        # plain bisection's bracket, each point classified by the library's
+        # probe with the CLI's own arguments
+        mech, absorption, drive, kw = calls[0]
 
         def grows(l0):
-            params = dict(self.MML_SEARCH, search=False,
-                          l0_factor=l0 / l_star)
-            out = tmp_path / f"probe{len(drives)}"
-            return run_experiment(ExperimentConfig(
-                "mml", params, 0, out)).derived["classification"] == "grew"
+            return thermomech.probe_growth(
+                mech, absorption, dataclasses.replace(drive, l0=l0), kw["x0"],
+                kw["t_end"], kw["dt"], kw["store_every"])[0]
         lo, hi = 0.8 * l_star, 1.25 * l_star
         assert not grows(lo) and grows(hi)
         while (hi - lo) / l_star > self.MML_SEARCH["search_rtol"]:
@@ -314,7 +314,7 @@ class TestRunExperiment:
                 hi = mid
             else:
                 lo = mid
-        assert len(drives) == 2 + 6    # with the first probe, 7
+        assert len(calls) == 2 + 6    # with the first probe, 7
         assert derived["threshold_bracket"] == [lo, hi]
 
     def test_search_note_names_the_span(self, tmp_path, monkeypatch):
@@ -342,6 +342,24 @@ class TestRunExperiment:
                           if not line.lstrip().startswith('"timestamp"')])
         assert texts[0] == texts[1]
         assert '"search_probes"' in "\n".join(texts[0])
+
+    def test_probe_windows_need_stored_samples(self, tmp_path):
+        # a trajectory too sparse for the probe's amplitude windows once
+        # gave a NaN ratio, classified "decayed", with exit 0.  The sparsest
+        # that fills them stores two intervals under CW (of 50 steps) and
+        # one under the closed loop (of 500, mml-search seed 901 op 0)
+        mml = dict(_bench_child("workloads").make_config(
+            "mml-search", 901, 0)["parameters"], n_cycles=1, store_every=500)
+        seo = dict(self.SEO_BASE, n_cycles=1, steps_per_cycle=50,
+                   store_every=25, search=False, l0_factor=2.0)
+        for experiment, params, sparse in (("seo", seo, 30),
+                                           ("mml", mml, 600)):
+            findings = validate_config(ExperimentConfig(
+                experiment, dict(params, store_every=sparse)))
+            assert "store_every" in " ".join(findings), experiment
+            cfg = ExperimentConfig(experiment, params, 0, tmp_path)
+            assert validate_config(cfg) == []
+            assert np.isfinite(run_experiment(cfg).derived["amplitude_ratio"])
 
     def test_lattice_trajectory_table(self, tmp_path):
         params = dict(LATTICE_PARAMS, n_steps=5000, store_trajectory=True,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ringlock import thermomech
 from ringlock.engine import rk4_step
 from ringlock.thermomech import (AbsorptionModel, InstabilityError,
                                  InsufficientDataError, IntensityDrive,
@@ -434,53 +435,26 @@ class TestLinearResponseOracle:
                 f"trial {trial}"
 
 
-class TestThresholdBracketing:
-    def test_seo_bracket(self):
-        mech = small_mirror(gamma_ratio=0.005, kappa_ratio=0.01,
-                            theta_fh=-1e-9)
-        absorption = AbsorptionModel(1e5, +1e4)  # red detuned
-        l_star = seo_threshold(mech, absorption)
-        dt = 2 * np.pi / (150 * mech.omega_m)
-        x0 = 1e-4 / abs(absorption.k_a1)
-        rates = {}
-        for fac in (0.95, 1.05):
-            t_end = 3.0 / (0.05 * mech.gamma_m)
-            traj = simulate(mech, absorption, IntensityDrive.cw(fac * l_star),
-                            x0=x0, v0=0.0, t_end=t_end, dt=dt, store_every=3)
-            keep = traj.time > 14.0 / mech.kappa_m
-            sliced = MirrorTrajectory(traj.time[keep], traj.x[keep],
-                                      traj.v[keep], traj.t_r_rel[keep])
-            _w, g_fit = ringdown_extract(sliced)
-            rates[fac] = g_fit
-        assert rates[0.95] > 0.0   # decays below threshold
-        assert rates[1.05] < 0.0   # grows above threshold
-
-    def test_mml_bracket(self):
-        # pulse train slaved to the mirror, seeded at the amplitude where
-        # the pulsed pumping equals |gamma_H1|: a0 = T_N/(omega_m |k_A1|)
-        omega_m = 2 * np.pi * 4e5
-        mech = MechParams(m_m=1e-12, omega_m=omega_m,
-                          gamma_m=0.05 * omega_m, theta_ph=0.0,
-                          theta_fh=-1e-9, kappa_m=0.01 * omega_m)
-        absorption = AbsorptionModel(1e5, -1e4)  # blue detuned
-        t_n = 0.01 * omega_m
-        l_star = mml_threshold(mech, absorption, t_n)
-        assert np.isfinite(l_star)
-        a0 = t_n / (omega_m * abs(absorption.k_a1))
-        coupling = 1e4 * omega_m * abs(absorption.k_a1)  # beta ~ beta_floor
-        dt = 2 * np.pi / (5000 * omega_m)
-        t_end = 2 * np.pi / omega_m * 64 * 4
-        for fac, grows in ((0.95, False), (1.05, True)):
-            drive = IntensityDrive.closed_loop(fac * l_star, coupling,
-                                               beta_floor=0.01, t_n=t_n)
-            traj = simulate(mech, absorption, drive, x0=a0, v0=0.0,
-                            t_end=t_end, dt=dt, store_every=25)
-            t_bar = traj.t_r_rel[-1]
-            x_eq = mech.theta_fh * t_bar / (mech.m_m * omega_m ** 2)
-            tail = traj.time > 0.75 * t_end
-            amp = np.hypot(traj.x[tail] - x_eq,
-                           traj.v[tail] / omega_m).mean()
-            assert (amp > a0) == grows, f"factor {fac}: amp/a0={amp/a0:.4f}"
+class TestProbeGrowth:
+    @pytest.mark.parametrize("mode", ["cw", "closed_loop"])
+    def test_findings_match_the_stored_windows(self, mode):
+        # the finding holds exactly when each window the probe reads holds
+        # one of the times simulate() stores; the probe refuses the rest
+        mech, dt = small_mirror(), 2 * np.pi / (50 * 2 * np.pi * 4e5)
+        drive = IntensityDrive(l0=1.0, mode=mode, beta_floor=0.05, t_n=1.0)
+        (lo, hi), late = thermomech.REFERENCE_WINDOW, thermomech.LATE_WINDOW
+        for n_steps in range(1, 61):
+            for store_every in range(1, 66):
+                t = np.arange(0, n_steps + 1, store_every) * dt
+                t_frac = t / t[-1] if t.size > 1 else t
+                ref = np.any((t_frac > lo) & (t_frac <= hi))
+                full = np.any(t_frac > late) and (mode == "closed_loop" or ref)
+                findings = thermomech.probe_constraint_findings(
+                    mode, 1e-8, n_steps * dt, dt, store_every)
+                assert (findings == []) == full, (n_steps, store_every)
+        with pytest.raises(ValueError, match="store_every"):
+            thermomech.probe_growth(mech, AbsorptionModel(1e5, 1e4), drive,
+                                    1e-8, dt, dt, 2)
 
 
 def plain_bisection(grows, l_star, rtol):

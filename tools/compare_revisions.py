@@ -18,7 +18,9 @@ from there, so uncommitted files play no part.  Three records are written to
 - ``byte_identity``: the ``seo``/``mml`` threshold configs below, run
   through ``ringlock.cli.main`` on both sides.  Tables must match byte for
   byte, and manifests once ``timestamp`` and ``derived.search_probes`` are
-  dropped; the search's probe counts are recorded per side.
+  dropped.  The probe lists are compared on their own: the configs whose
+  lists differ are listed, and the probe counts are recorded per side, so a
+  change that means to keep the search's probes shows an empty list.
 
 Every benchmark run lasts ``run_seconds`` of ``BENCHMARK.json`` (40 s), so a
 seed takes about 4 minutes over the three workloads.
@@ -192,7 +194,7 @@ def byte_identity(work):
         subprocess.run([sys.executable, "-c", IDENTITY_DRIVER,
                         str(work / "configs.json")], cwd=run_dir, env=env,
                        check=True, capture_output=True)
-    compared, differing = 0, []
+    compared, differing, probes_differing = 0, [], []
     searched = {side: [] for side in SIDES}
     for name, _ in configs:
         parent_dir = work / "identity-parent" / "out" / name
@@ -208,6 +210,8 @@ def byte_identity(work):
                 (text_a, probes_a), (text_b, probes_b) = (
                     stripped_manifest(a), stripped_manifest(b))
                 same = text_a == text_b
+                if probes_a != probes_b:
+                    probes_differing.append(name)
                 if probes_a is not None:
                     searched["parent"].append(len(probes_a))
                     searched["change"].append(len(probes_b))
@@ -218,13 +222,15 @@ def byte_identity(work):
     return {"protocol": "each config run through ringlock.cli.main on a git "
                         "archive of each side; every table compared byte for "
                         "byte, and every manifest minus timestamp and "
-                        "derived.search_probes",
+                        "derived.search_probes; the configs whose "
+                        "search_probes differ are listed apart",
             "configs": "seo (tests/test_cli.py SEO_BASE at 300 cycles x 50 "
                        "steps) and mml (mml-search seed 901 op 0), each at "
                        "l0_factor in {0.5, 0.7, 0.95, 1.0, 1.05, 1.3, 2.0} x "
                        "theta_ph in {0, -2e3}: 28 configs; plus mml-search "
                        "seed 4242 ops 0-19",
             "files_compared": compared, "files_differing": differing,
+            "search_probes_differing": probes_differing,
             "search_probes_per_config": searched}
 
 
