@@ -31,14 +31,14 @@ ADLER_PARAMS = {"omega_am": 2333575.02, "omega_r": 2332946.70,
                 "duration": 0.0625, "sample_rate": 1048576.0}
 
 
-def _bench_child(name="child"):
+def _bench_module(name):
     """bench/<name>.py, loaded as a module."""
     import importlib.util
     path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
-    return child
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestValidateConfig:
@@ -348,7 +348,7 @@ class TestRunExperiment:
         # gave a NaN ratio, classified "decayed", with exit 0.  The sparsest
         # that fills them stores two intervals under CW (of 50 steps) and
         # one under the closed loop (of 500, mml-search seed 901 op 0)
-        mml = dict(_bench_child("workloads").make_config(
+        mml = dict(_bench_module("workloads").make_config(
             "mml-search", 901, 0)["parameters"], n_cycles=1, store_every=500)
         seo = dict(self.SEO_BASE, n_cycles=1, steps_per_cycle=50,
                    store_every=25, search=False, l0_factor=2.0)
@@ -550,7 +550,7 @@ class TestMainEntry:
         # these module attributes and refuses a run that makes none, so the
         # CLI must call each through its module at call time
         from ringlock import adler, lattice, thermomech
-        child = _bench_child()
+        child = _bench_module("child")
         modules = {"adler": adler, "lattice": lattice,
                    "thermomech": thermomech}
         called = []
@@ -585,7 +585,7 @@ class TestMainEntry:
         # _write_table and its bytes from the path it returns; a renamed
         # function or a changed call would read 0 without failing
         from ringlock import adler, cli, lattice, thermomech
-        child = _bench_child()
+        child = _bench_module("child")
         modules = {"adler": adler, "cli": cli, "lattice": lattice,
                    "thermomech": thermomech}
         names = [(mod, attr) for mod, attr, _, _ in child.WRAPPED]
