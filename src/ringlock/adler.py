@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comb import comb_closed
-from .engine import (InsufficientDataError, SpectrumResult, rk4_step,
-                     welch_psd)
+from .engine import (InsufficientDataError, SpectrumResult, require,
+                     rk4_step, welch_psd)
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,7 @@ class AdlerParams:
     def from_threshold(cls, omega_am: float, omega_r: float, v_am0: float,
                        v_am: float) -> "AdlerParams":
         """Calibrate zeta_AM from a measured synchronization threshold."""
-        findings = _detuning_findings(omega_am, omega_r)
-        if findings:
-            raise ValueError(findings[0])
+        require(_detuning_findings(omega_am, omega_r))
         return cls(omega_am=omega_am, omega_r=omega_r,
                    zeta_am=(omega_am - omega_r) / v_am0,
                    v_am=v_am, v_am0=v_am0)
@@ -188,18 +186,18 @@ def _default_segment_len(n_t: int) -> int:
 
 
 def constraint_findings(omega_am: float, omega_r: float, duration: float,
-                        sample_rate: float,
-                        segment_len: int | None = None) -> list[str]:
+                        sample_rate: float) -> list[str]:
     """Violations of a threshold-calibrated sweep's constraints beyond the
     signs of its parameters; an empty list means valid.
 
     The detuning must be nonzero (:meth:`AdlerParams.from_threshold`
     checks it), and the detector signal of int(duration*sample_rate)
-    samples must hold one Welch segment (:func:`pd_spectrum_sweep` checks
-    it).  The CLI's config validation checks both here.
+    samples must hold one Welch segment of the default length
+    (:func:`pd_spectrum_sweep` checks it).  The CLI's config validation
+    checks both here.
     """
     return _detuning_findings(omega_am, omega_r) + _segment_findings(
-        *_signal_shape(duration, sample_rate, segment_len))
+        *_signal_shape(duration, sample_rate, None))
 
 
 def _detuning_findings(omega_am: float, omega_r: float) -> list[str]:
@@ -246,9 +244,7 @@ def pd_spectrum_sweep(params_base: AdlerParams, v_am_grid,
         raise ValueError("duration and sample_rate must be positive")
 
     n_t, segment_len = _signal_shape(duration, sample_rate, segment_len)
-    findings = _segment_findings(n_t, segment_len)
-    if findings:
-        raise InsufficientDataError(findings[0])
+    require(_segment_findings(n_t, segment_len), InsufficientDataError)
     t = np.arange(n_t) / sample_rate
 
     notes = []

@@ -11,10 +11,12 @@ Command line:
     ringlock validate CONFIG
     ringlock preset paper
 
-Exit codes: 0 success, 2 validation failure (by the schema or by the
-library's own checks during the run), 3 numerical failure.  The output
-directory may also be set with the RINGLOCK_OUT environment variable (the
---out flag wins).
+Exit codes: 0 success, 2 validation failure (by the schema, or a
+``ValueError`` the library raises during the run), 3 numerical failure (an
+``ArithmeticError``, the base of every numerical failure the library
+raises); any other exception is a program defect and ends in a traceback.
+The output directory may also be set with the RINGLOCK_OUT environment
+variable (the --out flag wins).
 """
 
 import argparse
@@ -31,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, adler, comb, lattice, pulses, thermomech
-from .engine import IntegrationError
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,7 @@ def _constraint_findings(experiment: str, p: dict) -> list[str]:
     findings += thermomech.step_constraint_findings(dt, p["omega_m"])
     findings += thermomech.probe_constraint_findings(
         "closed_loop" if experiment == "mml" else "cw", p["x0"], t_end, dt,
-        p["store_every"])
+        p["store_every"], p["kappa_m"])
     if p["search"]:
         findings += thermomech.search_constraint_findings(p["search_rtol"])
     if experiment == "mml":
@@ -687,8 +688,7 @@ def main(argv=None) -> int:
         return 0
     try:
         manifest = run_experiment(config)
-    except (thermomech.InstabilityError, IntegrationError,
-            pulses.UnstableIterationError, ArithmeticError) as err:
+    except ArithmeticError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except ValueError as err:

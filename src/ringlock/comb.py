@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from .engine import require
+
 # coth(beta/2) overflows float range well before this; keep requests sane
 BETA_MIN = 1e-6
 # sinh(beta) overflows float range just above 710
@@ -30,10 +32,10 @@ def constraint_findings(beta: float, name: str = "beta") -> list[str]:
     BETA_MAX; an empty list means valid.
 
     ``name`` is the parameter the finding reports, for a linewidth that a
-    caller knows by another name (the closed-loop drive's beta_floor).
-    Every comb function checks this through :func:`_check_beta`; the
-    drives of :mod:`ringlock.thermomech` and the CLI's config validation
-    check it here.
+    caller knows by another name or in a context ("closed_loop drive:
+    beta_floor").
+    Every comb function, the drives of :mod:`ringlock.thermomech` and the
+    CLI's config validation check it here.
     """
     if not beta > 0.0:
         return [f"{name} must be positive (got {beta})"]
@@ -42,12 +44,6 @@ def constraint_findings(beta: float, name: str = "beta") -> list[str]:
     if beta > BETA_MAX:
         return [f"{name} must be <= {BETA_MAX} (got {beta})"]
     return []
-
-
-def _check_beta(beta: float) -> None:
-    findings = constraint_findings(beta)
-    if findings:
-        raise ValueError(findings[0])
 
 
 def closed_factors(beta: float):
@@ -74,7 +70,7 @@ def comb_closed(s, beta: float):
     returns a Python float, free of numpy's per-call scalar overhead in time
     loops.  The paths agree to a few ulp.
     """
-    _check_beta(beta)
+    require(constraint_findings(beta))
     if isinstance(s, float):
         sinh_b, sh2 = closed_factors(beta)
         sn = math.sin(0.5 * s)
@@ -89,7 +85,7 @@ def comb_series(s, beta: float, K: int):
     Converges to :func:`comb_closed` as K grows, with absolute error at most
     ``series_tail_bound(beta, K)``.
     """
-    _check_beta(beta)
+    require(constraint_findings(beta))
     if K < 1:
         raise ValueError("K must be >= 1")
     s = np.asarray(s, dtype=float)
@@ -101,7 +97,7 @@ def comb_series(s, beta: float, K: int):
 
 def comb_fourier_coeff(k: int, beta: float) -> float:
     """Fourier coefficient exp(-|k|*beta) of the comb function."""
-    _check_beta(beta)
+    require(constraint_findings(beta))
     return float(np.exp(-abs(k) * beta))
 
 
@@ -111,7 +107,7 @@ def series_tail_bound(beta: float, K: int) -> float:
     The dropped terms form a geometric series:
     2*exp(-(K+1)*beta)/(1 - exp(-beta)).
     """
-    _check_beta(beta)
+    require(constraint_findings(beta))
     return 2.0 * np.exp(-(K + 1) * beta) / (1.0 - np.exp(-beta))
 
 
@@ -122,7 +118,7 @@ def adaptive_truncation(beta: float, tol: float = 1e-13) -> int:
     1e-12 so that float64 summation roundoff (up to a few 1e-13 near the
     pulse peak at small beta) cannot push the total error past 1e-12.
     """
-    _check_beta(beta)
+    require(constraint_findings(beta))
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     # solve 2 e^{-(K+1) beta} / (1 - e^{-beta}) <= tol for K
@@ -143,7 +139,7 @@ def comb_hwhm(beta: float) -> float:
     the mode-locking literature is beta/2 (a different width convention).
     Both numbers are trivially related; this function returns the HWHM.
     """
-    _check_beta(beta)
+    require(constraint_findings(beta))
     if np.cosh(beta) >= 3.0:
         return float(np.pi)
     return float(np.arccos(2.0 - np.cosh(beta)))

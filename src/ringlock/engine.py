@@ -1,5 +1,16 @@
 """Shared numerical infrastructure, in numpy alone: reproducible random
-streams, a fixed-step RK4 stepper, and Welch power spectral densities.
+streams, a fixed-step RK4 stepper, Welch power spectral densities, and the
+package's failure contract.
+
+Every module fails in one of two ways.  Bad input raises ``ValueError``
+(through :func:`require` wherever a ``*_constraint_findings`` function
+defines the rule).  A numerical failure, a run that left the model's
+domain or stopped being finite, raises an ``ArithmeticError``:
+:class:`IntegrationError` and its subclass
+:class:`ringlock.thermomech.InstabilityError`,
+:class:`ringlock.pulses.UnstableIterationError` and
+:class:`ringlock.pulses.PoleError`, like the ``OverflowError`` of
+``math``.  Anything else is a program defect.
 
 All stochastic simulations in this package draw their noise through
 :class:`RngStream`, which is counter-based: the pair ``(seed, counter)``
@@ -12,16 +23,28 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class IntegrationError(RuntimeError):
-    """State or derivative became non-finite during integration."""
+class IntegrationError(ArithmeticError):
+    """An integration left its domain or stopped being finite.
 
-    def __init__(self, message, t=None):
+    ``t`` is the end time of the step that failed; ``trajectory``, when
+    the integrator keeps one, holds the samples stored before it.
+    """
+
+    def __init__(self, message, t=None, trajectory=None):
         super().__init__(message)
         self.t = t
+        self.trajectory = trajectory
 
 
 class InsufficientDataError(ValueError):
     """Signal or trajectory too short for the requested estimate."""
+
+
+def require(findings: list[str], error: type = ValueError) -> None:
+    """Raise ``error`` listing every finding, joined by "; ", unless
+    ``findings`` is empty."""
+    if findings:
+        raise error("; ".join(findings))
 
 
 @dataclass
@@ -79,7 +102,7 @@ def rk4_step(state, derivative, t: float, dt: float):
     k4 = derivative(t + dt, state + dt * k3)
     out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
-        raise IntegrationError("non-finite state after RK4 step", t=t)
+        raise IntegrationError("non-finite state after RK4 step", t=t + dt)
     return out
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import RngStream, normal_draws
+from .engine import RngStream, normal_draws, require
 
 BOUNDARIES = ("open_chain", "periodic")
 MAX_MU_DT = 0.1     # stability bound of the explicit Euler step
@@ -74,9 +74,7 @@ class LatticeConfig:
             raise ValueError("t_n must be nonnegative")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        findings = constraint_findings(self.n_modes, self.mu_m, self.dt)
-        if findings:
-            raise ValueError("; ".join(findings))
+        require(constraint_findings(self.n_modes, self.mu_m, self.dt))
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
@@ -359,9 +357,7 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
         burn_in = int(round(10.0 / (config.mu_m * config.dt)))
     n = config.n_modes
     periodic = config.boundary == "periodic"
-    findings = constraint_findings(n, config.mu_m, config.dt, max_lag)
-    if findings:
-        raise ValueError("; ".join(findings))
+    require(constraint_findings(n, config.mu_m, config.dt, max_lag))
     if burn_in < 0 or sample_every < 1 or (record_every is not None
                                            and record_every < 1):
         raise ValueError("require burn_in >= 0, sample_every >= 1 and "

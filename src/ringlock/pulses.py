@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import require
+
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
@@ -36,7 +38,7 @@ class PoleError(ArithmeticError):
         self.gamma = gamma
 
 
-class UnstableIterationError(RuntimeError):
+class UnstableIterationError(ArithmeticError):
     """Round-trip iteration left the perturbative regime (|g| > 1)."""
 
 
@@ -142,9 +144,7 @@ def roundtrip_iterate(g0: complex, g_m: complex, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    findings = constraint_findings(g_m)
-    if findings:
-        raise ValueError(findings[0])
+    require(constraint_findings(g_m))
     out = np.empty(n + 1, dtype=complex)
     g = complex(g0)
     out[0] = g

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import comb
 from .comb import closed_factors, comb_closed
-from .engine import InsufficientDataError
+from .engine import InsufficientDataError, IntegrationError, require
 
 HBAR = 1.054571817e-34  # J s
 
@@ -43,19 +43,14 @@ HBAR = 1.054571817e-34  # J s
 _BETA_FLAT = 30.0
 
 
-class InstabilityError(RuntimeError):
+class InstabilityError(IntegrationError):
     """Integration left the model's domain of validity.
 
     Expected (and meaningful) above the SEO/MML threshold, where the
     linear-instability growth is unbounded because saturation physics is out
-    of scope.  Carries the last finite time/state and the trajectory so far.
+    of scope.  ``t`` is the end time of the step that left the domain, and
+    ``trajectory`` the samples stored before it.
     """
-
-    def __init__(self, message, t, state, trajectory=None):
-        super().__init__(message)
-        self.t = t
-        self.state = state
-        self.trajectory = trajectory
 
 
 # fewest RK4 steps per mechanical period that simulate() accepts
@@ -123,10 +118,8 @@ class MechParams:
     kappa_m: float    # 1/s, thermal decay rate
 
     def __post_init__(self):
-        findings = mech_constraint_findings(self.m_m, self.omega_m,
-                                            self.gamma_m, self.kappa_m)
-        if findings:
-            raise ValueError("; ".join(findings))
+        require(mech_constraint_findings(self.m_m, self.omega_m,
+                                         self.gamma_m, self.kappa_m))
 
 
 def aluminum_device(m_m: float, omega_m: float, gamma_m: float,
@@ -165,15 +158,14 @@ class IntensityDrive:
 
     Modes:
       cw          -- constant L_0
-      comb        -- L_0 * T_beta(omega_pulse*t + phase): open-loop pulse
-                     train from a fixed clock
+      comb        -- L_0 * T_beta(omega_pulse*t): open-loop pulse train
+                     from a fixed clock
       closed_loop -- pulse train slaved to the mirror: the comb argument is
                      the mirror's own oscillation phase (measured about the
                      instantaneous thermal equilibrium), with pulse peaks at
                      the turning point where the absorption A_H(x) is
-                     minimal, plus an optional ``phase`` offset.  The
-                     linewidth follows the motion through the modulation
-                     strength mu_M = coupling * amplitude:
+                     minimal.  The linewidth follows the motion through
+                     the modulation strength mu_M = coupling * amplitude:
                      beta(t) = max(beta_floor, t_n / (2 mu_M)).
     """
 
@@ -181,7 +173,6 @@ class IntensityDrive:
     mode: str = "cw"
     beta: float = 0.0            # comb mode
     omega_pulse: float = 0.0     # rad/s, comb mode
-    phase: float = 0.0           # rad
     coupling: float = 0.0        # 1/(m s): mu_M per meter of amplitude
     beta_floor: float = 0.0      # closed_loop
     t_n: float = 0.0             # 1/s, effective noise for the beta schedule
@@ -192,35 +183,30 @@ class IntensityDrive:
         if self.mode not in ("cw", "comb", "closed_loop"):
             raise ValueError(f"unknown drive mode {self.mode!r}")
         if self.mode == "comb":
-            findings = comb.constraint_findings(self.beta)
-            if findings:
-                raise ValueError("comb drive: " + findings[0])
+            require(comb.constraint_findings(self.beta, "comb drive: beta"))
         if self.mode == "closed_loop":
             if self.coupling < 0.0:
                 raise ValueError("coupling must be nonnegative")
             if self.t_n <= 0.0:
                 raise ValueError("closed_loop drive requires t_n > 0")
             # with the cap at 30, the floor bounds every beta of the law
-            findings = comb.constraint_findings(self.beta_floor,
-                                                "beta_floor")
-            if findings:
-                raise ValueError("closed_loop drive: " + findings[0])
+            require(comb.constraint_findings(
+                self.beta_floor, "closed_loop drive: beta_floor"))
 
     @classmethod
     def cw(cls, l0: float) -> "IntensityDrive":
         return cls(l0=l0, mode="cw")
 
     @classmethod
-    def comb(cls, l0: float, beta: float, omega_pulse: float,
-             phase: float = 0.0) -> "IntensityDrive":
-        return cls(l0=l0, mode="comb", beta=beta, omega_pulse=omega_pulse,
-                   phase=phase)
+    def comb(cls, l0: float, beta: float,
+             omega_pulse: float) -> "IntensityDrive":
+        return cls(l0=l0, mode="comb", beta=beta, omega_pulse=omega_pulse)
 
     @classmethod
     def closed_loop(cls, l0: float, coupling: float, beta_floor: float,
-                    t_n: float, phase: float = 0.0) -> "IntensityDrive":
+                    t_n: float) -> "IntensityDrive":
         return cls(l0=l0, mode="closed_loop", coupling=coupling,
-                   beta_floor=beta_floor, t_n=t_n, phase=phase)
+                   beta_floor=beta_floor, t_n=t_n)
 
 
 @dataclass(frozen=True)
@@ -238,9 +224,7 @@ class NoiseChain:
     omega_p: float       # rad/s, optical carrier
 
     def __post_init__(self):
-        findings = noise_constraint_findings(self.g_oa, self.n_pi)
-        if findings:
-            raise ValueError("; ".join(findings))
+        require(noise_constraint_findings(self.g_oa, self.n_pi))
         if min(self.lambda_l, self.delta_lambda, self.l_r) <= 0.0:
             raise ValueError("lengths must be positive")
 
@@ -386,9 +370,7 @@ def bisect_threshold(grows, l_star: float, rtol: float, known=()):
     Every decayed result lies below every grown one, so a bracket holds a
     decayed and a grown L0, each probed or known, with lo <= d < g <= hi.
     """
-    findings = search_constraint_findings(rtol)
-    if findings:
-        raise ValueError(findings[0])
+    require(search_constraint_findings(rtol))
     if not 0.0 < l_star < math.inf:
         raise ValueError(f"l_star must be positive and finite (got {l_star})")
     # the highest known decay and the lowest known growth.  A probe's own
@@ -431,9 +413,7 @@ def bisect_threshold(grows, l_star: float, rtol: float, known=()):
 
 def noise_figure(g_oa: float, n_pi: float) -> float:
     """Amplifier noise figure 2 n_PI (G - 1) / G."""
-    findings = _gain_findings(g_oa)
-    if findings:
-        raise ValueError(findings[0])
+    require(_gain_findings(g_oa))
     return 2.0 * n_pi * (g_oa - 1.0) / g_oa
 
 
@@ -452,19 +432,20 @@ def effective_noise(chain: NoiseChain):
 
 
 def cw_fixed_point(mech: MechParams, absorption: AbsorptionModel,
-                   l0: float, max_iter: int = 200, tol: float = 1e-15):
+                   l0: float):
     """Static operating point (T_bar, x_bar, omega_tilde) under CW drive.
 
     Solves the coupled equilibrium T = L0 A_H(x)/kappa,
-    x = Theta_FH T / (m (w_m + Theta_PH T)^2) by fixed-point iteration.
+    x = Theta_FH T / (m (w_m + Theta_PH T)^2) by fixed-point iteration, to
+    a step of 1e-15 relative (absolute below 1) or 200 iterations.
     """
     t_bar, x_bar = 0.0, 0.0
-    for _ in range(max_iter):
+    for _ in range(200):
         w = mech.omega_m + mech.theta_ph * t_bar
         t_new = l0 * absorption.value(x_bar) / mech.kappa_m
         x_new = mech.theta_fh * t_new / (mech.m_m * w * w)
-        if abs(t_new - t_bar) <= tol * max(1.0, abs(t_new)) and \
-           abs(x_new - x_bar) <= tol * max(1.0, abs(x_new)):
+        if abs(t_new - t_bar) <= 1e-15 * max(1.0, abs(t_new)) and \
+           abs(x_new - x_bar) <= 1e-15 * max(1.0, abs(x_new)):
             t_bar, x_bar = t_new, x_new
             break
         t_bar, x_bar = t_new, x_new
@@ -524,8 +505,7 @@ def drive_intensity(drive: IntensityDrive, mech: MechParams,
     if drive.mode == "cw":
         return drive.l0
     if drive.mode == "comb":
-        return drive.l0 * comb_closed(drive.omega_pulse * t + drive.phase,
-                                      drive.beta)
+        return drive.l0 * comb_closed(drive.omega_pulse * t, drive.beta)
     w = mech.omega_m + mech.theta_ph * t_r
     xc = x - mech.theta_fh / mech.m_m * t_r / (w * w)
     vn = v / mech.omega_m
@@ -537,7 +517,7 @@ def drive_intensity(drive: IntensityDrive, mech: MechParams,
                    _BETA_FLAT)
     else:
         beta = _BETA_FLAT
-    offset = drive.phase - (math.pi if absorption.k_a1 > 0.0 else 0.0)
+    offset = -math.pi if absorption.k_a1 > 0.0 else 0.0
     return drive.l0 * comb_closed(psi + offset, beta)
 
 
@@ -567,11 +547,11 @@ def _rhs(drive: IntensityDrive, mech: MechParams, h_scale: float,
         return cw_rhs
 
     if drive.mode == "comb":
-        omega_pulse, phase = drive.omega_pulse, drive.phase
+        omega_pulse = drive.omega_pulse
         sinh_b, sh2 = closed_factors(drive.beta)
 
         def comb_rhs(tau, xs, ws, th):
-            sn = sin(0.5 * (omega_pulse * (tau / w0) + phase))
+            sn = sin(0.5 * (omega_pulse * (tau / w0)))
             lh = l0 * (sinh_b / (2.0 * (sh2 + sn * sn)))
             freq = 1.0 + c_ph * th
             return (ws,
@@ -584,7 +564,7 @@ def _rhs(drive: IntensityDrive, mech: MechParams, h_scale: float,
     theta_ph = mech.theta_ph
     fh_per_m = mech.theta_fh / mech.m_m
     v_ref = x_ref * w0
-    offset = drive.phase - (math.pi if ka1 > 0.0 else 0.0)
+    offset = -math.pi if ka1 > 0.0 else 0.0
     coupling, t_n = drive.coupling, drive.t_n
     beta_floor = drive.beta_floor
     sinh_floor, sh2_floor = closed_factors(min(beta_floor, _BETA_FLAT))
@@ -631,15 +611,14 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
     inline; :func:`drive_intensity` is the SI reference for that law.
 
     Above an instability threshold the linear growth is unbounded; the run
-    halts with :class:`InstabilityError` once |k_A1 x| > 1 (the absorption
+    halts with :class:`InstabilityError`, at the end time of the step that
+    left the domain, once |k_A1 x| > 1 (the absorption
     expansion is invalid there), once the thermal frequency
     omega_m + Theta_PH T_R reaches zero (the restoring force vanishes and
     the closed-loop law's x_eq is singular there), or once the state stops
     being finite.
     """
-    findings = step_constraint_findings(dt, mech.omega_m)
-    if findings:
-        raise ValueError(findings[0])
+    require(step_constraint_findings(dt, mech.omega_m))
     if t_end <= dt:
         raise ValueError("t_end must exceed dt")
     if store_every < 1:
@@ -688,18 +667,14 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
         bad = not (math.isfinite(xs) and math.isfinite(ws)
                    and math.isfinite(th))
         if bad or abs(xs) > kx_limit or 1.0 + c_ph * th <= 0.0:
-            partial = MirrorTrajectory(time[:j], xa[:j], va[:j], ta[:j])
-            t_last = partial.time[-1]
             if bad or abs(xs) > kx_limit:
                 reason = "integration left the linear-absorption domain"
             else:
                 reason = ("the thermal frequency omega_m + theta_ph*T_R "
                           "reached zero")
             raise InstabilityError(
-                f"{reason} at t = {i * dt:.6g} s",
-                t=t_last,
-                state=(partial.x[-1], partial.v[-1], partial.t_r_rel[-1]),
-                trajectory=partial)
+                f"{reason} at t = {i * dt:.6g} s", t=i * dt,
+                trajectory=MirrorTrajectory(time[:j], xa[:j], va[:j], ta[:j]))
         if i % store_every == 0:
             time[j] = i * dt
             xa[j] = xs * x_ref
@@ -718,11 +693,14 @@ REFERENCE_WINDOW = (0.3, 0.5)
 
 
 def probe_constraint_findings(mode: str, x0: float, t_end: float, dt: float,
-                              store_every: int) -> list[str]:
+                              store_every: int, kappa_m: float) -> list[str]:
     """Violations of :func:`probe_growth`'s constraints; an empty list means
     valid.  A closed-loop probe measures growth against |x0|, so needs
     x0 != 0, and every window the probe reads must hold a stored sample.
-    The probe and the CLI's config validation check them here.
+    Any other probe compares with its reference window, which must open
+    after the thermal settling: REFERENCE_WINDOW[0]*kappa_m*t_last >= 1,
+    with t_last the last stored time.  The probe and the CLI's config
+    validation check them here.
     """
     findings = ["mml requires x0 != 0 (the seed amplitude)"] \
         if mode == "closed_loop" and x0 == 0.0 else []
@@ -734,6 +712,13 @@ def probe_constraint_findings(mode: str, x0: float, t_end: float, dt: float,
     if not math.floor(hi * n) > lo * n:
         findings.append(f"store_every = {store_every} leaves the growth "
                         f"probe no sample at {lo:g} < t/t_last <= {hi:g}")
+    # any other probe's reference window opens at lo*t_last, and must open
+    # after the thermal settling its ratio cancels
+    settled = lo * kappa_m * n * store_every * dt
+    if mode != "closed_loop" and not settled >= 1.0:
+        findings.append(f"require {lo:g}*kappa_m*t_last >= 1: the growth "
+                        f"probe's reference window opens before one thermal "
+                        f"time 1/kappa_m (got {settled:.3g})")
     return findings
 
 
@@ -752,10 +737,8 @@ def probe_growth(mech: MechParams, absorption: AbsorptionModel,
     the seed within a few pumping times, so under ``closed_loop`` it is
     compared with |x0| directly.
     """
-    findings = probe_constraint_findings(drive.mode, x0, t_end, dt,
-                                         store_every)
-    if findings:
-        raise ValueError("; ".join(findings))
+    require(probe_constraint_findings(drive.mode, x0, t_end, dt,
+                                      store_every, mech.kappa_m))
     try:
         traj = simulate(mech, absorption, drive, x0=x0, v0=0.0, t_end=t_end,
                         dt=dt, store_every=store_every)

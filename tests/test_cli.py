@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ringlock import engine, pulses, thermomech
 from ringlock.cli import (ExperimentConfig, RunManifest, _fmt, _write_table,
                           main, preset_text, run_experiment, validate_config)
 
@@ -245,10 +246,19 @@ class TestRunExperiment:
         assert manifest.derived["threshold_formula"] == np.inf
         assert "note" in manifest.derived
 
-    def test_threshold_domain_note(self, tmp_path):
+    def test_threshold_domain_note(self, tmp_path, monkeypatch):
         # an mml search whose steady thermal shift Theta_PH*L0*A_H0/kappa_m
         # passes -omega_m: every probe halts on simulate's thermal-frequency
         # guard, so the manifest says the classification means nothing
+        simulate, halts = thermomech.simulate, []
+
+        def recording(*args, **kwargs):
+            try:
+                return simulate(*args, **kwargs)
+            except thermomech.InstabilityError as err:
+                halts.append(err)
+                raise
+        monkeypatch.setattr(thermomech, "simulate", recording)
         omega_m, k_a1 = 2676900.3047668235, 5303.763062172119
         params = {
             "m_m": 7.275653842932221e-13, "omega_m": omega_m,
@@ -262,7 +272,9 @@ class TestRunExperiment:
             "mml", params, 0, tmp_path / "hot")).derived
         assert "domain_note" in derived
         assert "-63.4 omega_m" in derived["domain_note"]
-        assert derived["halted_at"] == 0.0
+        # halted_at is the first probe's halt, at the time simulate reports
+        assert derived["halted_at"] == halts[0].t > 0.0
+        assert f"at t = {derived['halted_at']:.6g} s" in str(halts[0])
         assert "threshold_bracket" not in derived
         # at Theta_PH = 0 the shift is zero: no note, and a bracket
         derived = run_experiment(ExperimentConfig(
@@ -346,13 +358,15 @@ class TestRunExperiment:
     def test_probe_windows_need_stored_samples(self, tmp_path):
         # a trajectory too sparse for the probe's amplitude windows once
         # gave a NaN ratio, classified "decayed", with exit 0.  The sparsest
-        # that fills them stores two intervals under CW (of 50 steps) and
-        # one under the closed loop (of 500, mml-search seed 901 op 0)
+        # that fills them stores two intervals under CW (of 27 cycles of 50
+        # steps, the shortest run whose reference window opens after one
+        # thermal time) and one under the closed loop (of 500, mml-search
+        # seed 901 op 0)
         mml = dict(_bench_module("workloads").make_config(
             "mml-search", 901, 0)["parameters"], n_cycles=1, store_every=500)
-        seo = dict(self.SEO_BASE, n_cycles=1, steps_per_cycle=50,
-                   store_every=25, search=False, l0_factor=2.0)
-        for experiment, params, sparse in (("seo", seo, 30),
+        seo = dict(self.SEO_BASE, n_cycles=27, steps_per_cycle=50,
+                   store_every=675, search=False, l0_factor=2.0)
+        for experiment, params, sparse in (("seo", seo, 676),
                                            ("mml", mml, 600)):
             findings = validate_config(ExperimentConfig(
                 experiment, dict(params, store_every=sparse)))
@@ -488,6 +502,10 @@ class TestMainEntry:
                     mml, beta_floor=1e-7)}, "beta_floor"),
                 ("mml_x0.json", {"experiment": "mml", "parameters": dict(
                     mml, x0=0.0)}, "x0"),
+                ("thermal.json", {"experiment": "seo", "parameters": dict(
+                    TestRunExperiment.SEO_BASE, n_cycles=1,
+                    steps_per_cycle=50, store_every=25, search=False,
+                    l0_factor=2.0)}, "kappa_m"),
                 ("rtol.json", {"experiment": "seo", "parameters": dict(
                     TestRunExperiment.SEO_BASE, n_cycles=300,
                     steps_per_cycle=50, search_rtol=1e-17)}, "search_rtol"),
@@ -525,6 +543,27 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config: "), err
         assert "Traceback" not in err
+        assert not (out / "comb_manifest.json").exists()
+
+    @pytest.mark.parametrize("error", [
+        engine.IntegrationError, thermomech.InstabilityError,
+        pulses.UnstableIterationError, pulses.PoleError, OverflowError],
+        ids=lambda error: error.__name__)
+    def test_run_arithmetic_error_is_numerical_failure(
+            self, tmp_path, capsys, monkeypatch, error):
+        # every numerical failure is an ArithmeticError: the library's own
+        # classes and math's overflow alike exit 3 without a traceback
+        import ringlock.cli as cli
+
+        def fail(config):
+            raise error("a run that left its domain")
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        cfg = write_config(tmp_path, {
+            "experiment": "comb", "parameters": {"beta": 0.2}})
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: a run that left its domain\n"
         assert not (out / "comb_manifest.json").exists()
 
     def test_ragged_table_is_a_program_failure(self, tmp_path, capsys,

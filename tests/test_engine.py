@@ -3,8 +3,8 @@ import pytest
 from scipy import signal
 
 from ringlock.engine import (IntegrationError, InsufficientDataError,
-                             RngStream, normal_draws, rk4_step, substream,
-                             welch_psd)
+                             RngStream, normal_draws, require, rk4_step,
+                             substream, welch_psd)
 
 
 class TestNormalDraws:
@@ -109,8 +109,27 @@ class TestRk4:
 
         with pytest.raises(IntegrationError):
             rk4_step(np.array([1.0]), f, 0.0, 0.1)
-        with pytest.raises(IntegrationError):
-            rk4_step(1.0, lambda _t, y: float("inf"), 0.0, 0.1)
+        with pytest.raises(IntegrationError) as err:
+            rk4_step(1.0, lambda _t, y: float("inf"), 0.25, 0.5)
+        assert err.value.t == 0.75     # the end of the failed step
+
+
+class TestFailureContract:
+    def test_numerical_failures_are_arithmetic_errors(self):
+        # the CLI maps ArithmeticError alone to exit 3
+        from ringlock.pulses import PoleError, UnstableIterationError
+        from ringlock.thermomech import InstabilityError
+        for cls in (IntegrationError, InstabilityError,
+                    UnstableIterationError, PoleError):
+            assert issubclass(cls, ArithmeticError), cls
+        assert issubclass(InstabilityError, IntegrationError)
+
+    def test_require_lists_every_finding(self):
+        require([])
+        with pytest.raises(ValueError, match="^a; b$"):
+            require(["a", "b"])
+        with pytest.raises(InsufficientDataError, match="^short$"):
+            require(["short"], InsufficientDataError)
 
 
 class TestWelchPsd:

@@ -260,7 +260,9 @@ class TestSimulate:
                      1e-9, 0.0, 1e-3, dt=2 * np.pi / (10 * mech.omega_m))
 
     def test_instability_reported_with_state(self):
-        # far above SEO threshold the displacement leaves |k_A1 x| <= 1
+        # far above SEO threshold the displacement leaves |k_A1 x| <= 1; the
+        # error carries the halt time, the end of the step that left, and
+        # the samples stored before it
         mech = small_mirror(gamma_ratio=0.004, theta_fh=-1e-9)
         absorption = AbsorptionModel(1e5, +1e4)
         l_star = seo_threshold(mech, absorption)
@@ -268,10 +270,12 @@ class TestSimulate:
         with pytest.raises(InstabilityError) as err:
             simulate(mech, absorption, IntensityDrive.cw(40.0 * l_star),
                      x0=3e-6, v0=0.0, t_end=1.0, dt=dt, store_every=5)
-        assert err.value.trajectory is not None
-        assert err.value.t < 1.0
-        assert np.all(np.isfinite(err.value.trajectory.x))
-        assert len(err.value.state) == 3
+        traj, t = err.value.trajectory, err.value.t
+        assert np.all(np.isfinite(traj.x))
+        assert traj.time[-1] < t <= traj.time[-1] + 5 * dt
+        assert t == round(t / dt) * dt       # a step's end time
+        assert f"at t = {t:.6g} s" in str(err.value)
+        assert t < 1.0
 
     def test_halts_when_thermal_frequency_reaches_zero(self):
         # with Theta_PH < 0 the heating pulses drive w = omega_m
@@ -443,6 +447,8 @@ class TestProbeGrowth:
         mech, dt = small_mirror(), 2 * np.pi / (50 * 2 * np.pi * 4e5)
         drive = IntensityDrive(l0=1.0, mode=mode, beta_floor=0.05, t_n=1.0)
         (lo, hi), late = thermomech.REFERENCE_WINDOW, thermomech.LATE_WINDOW
+        # a thermal time of lo*dt: any stored step is past the settling
+        kappa_m = 1.0 / (lo * dt)
         for n_steps in range(1, 61):
             for store_every in range(1, 66):
                 t = np.arange(0, n_steps + 1, store_every) * dt
@@ -450,11 +456,37 @@ class TestProbeGrowth:
                 ref = np.any((t_frac > lo) & (t_frac <= hi))
                 full = np.any(t_frac > late) and (mode == "closed_loop" or ref)
                 findings = thermomech.probe_constraint_findings(
-                    mode, 1e-8, n_steps * dt, dt, store_every)
+                    mode, 1e-8, n_steps * dt, dt, store_every, kappa_m)
                 assert (findings == []) == full, (n_steps, store_every)
         with pytest.raises(ValueError, match="store_every"):
             thermomech.probe_growth(mech, AbsorptionModel(1e5, 1e4), drive,
                                     1e-8, dt, dt, 2)
+
+    def test_reference_window_opens_after_thermal_settling(self):
+        # a reference window that opens before one thermal time compares
+        # the late amplitude with a transient: only the closed-loop probe,
+        # whose reference is |x0|, is exempt
+        mech = small_mirror()
+        dt = 2 * np.pi / (50 * mech.omega_m)
+        lo = thermomech.REFERENCE_WINDOW[0]
+        settle = int(np.ceil(1.0 / (lo * mech.kappa_m * dt)))   # in steps
+        # t_last, not t_end, counts: a step count that store_every does not
+        # divide ends short of t_end
+        short = next(k for k in range(2, 10) if settle % k)
+        for n_steps, store_every, valid in (
+                (settle, 1, True), (settle - 1, 1, False),
+                (settle, short, False), (settle + short, short, True)):
+            cw = thermomech.probe_constraint_findings(
+                "cw", 1e-8, n_steps * dt, dt, store_every, mech.kappa_m)
+            assert (cw == []) == valid, (n_steps, store_every, cw)
+            assert valid or "kappa_m" in cw[0]
+            assert thermomech.probe_constraint_findings(
+                "closed_loop", 1e-8, n_steps * dt, dt, store_every,
+                mech.kappa_m) == []
+        with pytest.raises(ValueError, match="kappa_m"):
+            thermomech.probe_growth(
+                mech, AbsorptionModel(1e5, 1e4), IntensityDrive.cw(1.0),
+                1e-8, (settle - 1) * dt, dt, 1)
 
 
 def plain_bisection(grows, l_star, rtol):

@@ -15,15 +15,16 @@ from there, so uncommitted files play no part.  Three records are written to
   pairs the change wins and the gap between the medians.
 - ``traced_mml_search``: one ``--trace 1`` run of ``mml-search`` per side,
   with the per-operation medians of the threshold search's layers.
-- ``byte_identity``: the ``seo``/``mml`` threshold configs below, run
-  through ``ringlock.cli.main`` on both sides.  Tables must match byte for
-  byte, and manifests once ``timestamp`` and ``derived.search_probes`` are
-  dropped.  The probe lists are compared on their own: the configs whose
-  lists differ are listed, and the probe counts are recorded per side, so a
-  change that means to keep the search's probes shows an empty list.
+- ``byte_identity``: the ``seo``/``mml`` threshold configs below and one
+  config of every other experiment, run through ``ringlock.cli.main`` on
+  both sides.  Tables must match byte for byte, and manifests once
+  ``timestamp`` and ``version`` are dropped (each side's version is
+  recorded).  A manifest that differs is listed with the fields that
+  differ, ``derived.search_probes`` or ``derived.halted_at`` for instance.
 
-Every benchmark run lasts ``run_seconds`` of ``BENCHMARK.json`` (40 s), so a
-seed takes about 4 minutes over the three workloads.
+The workloads and the end-to-end metrics are those of ``BENCHMARK.json``,
+and every benchmark run lasts its ``run_seconds`` (40 s), so a seed takes
+about 4 minutes over three workloads.
 """
 
 import argparse
@@ -39,8 +40,9 @@ import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
-WORKLOADS = ("lattice-chain", "adler-sweep", "mml-search")
-METRICS = ("run_s", "setup_s", "peak_rss_mib")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
+METRICS = tuple(m["name"] for m in BENCHMARK["end_to_end"])
 TRACED = ("thermomech.simulate.calls", "thermomech.simulate.steps",
           "thermomech.simulate.s", "thermomech.simulate.us_per_step",
           "thermomech.simulate.halted", "cli.run_experiment.s",
@@ -56,6 +58,19 @@ SEO_BASE = {
 }
 L0_FACTORS = (0.5, 0.7, 0.95, 1.0, 1.05, 1.3, 2.0)
 THETA_PH = (0.0, -2e3)
+# one config of each experiment the threshold configs leave out; the
+# lattice and adler ones come from bench/workloads.py
+OTHER_CONFIGS = [
+    ["comb", {"experiment": "comb", "seed": 0,
+              "parameters": {"beta": 0.2, "n_points": 512}}],
+    ["pulse", {"experiment": "pulse", "seed": 0, "parameters": {
+        "g_m_re": 0.1, "g_m_im": 0.02, "g0_re": 0.01, "n": 400}}],
+    ["noise", {"experiment": "noise", "seed": 0, "parameters": {
+        "g_oa": 1600.0, "n_pi": 1.25, "gamma_om": 0.1 * 2 * np.pi * 368.2e3,
+        "n_p": 2e6, "lambda_l": 1550e-9, "delta_lambda": 0.2e-9,
+        "l_r": 553.88, "n_eff": 1.47, "omega_p": 2 * np.pi * 193.4e12,
+        "omega_m": 2 * np.pi * 368.2e3}}],
+]
 
 # runs every config of a JSON list through the CLI of the checkout on
 # sys.path; each config's outputs go to out/<name>
@@ -125,8 +140,7 @@ def summarise(pairs, better):
 
 
 def run_pairs(work, seeds, seconds):
-    better = {m["name"]: m["better"] for m in json.loads(
-        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
     pairs = {w: [] for w in WORKLOADS}
     for seed in seeds:
         order = SIDES if seed % 2 else SIDES[::-1]
@@ -174,14 +188,21 @@ def identity_configs(work):
                                  "parameters": params}])
     configs += [[f"mml-search_4242_{i}", make_config("mml-search", 4242, i)]
                 for i in range(20)]
-    return configs
+    configs += [["lattice-chain_901_0", make_config("lattice-chain", 901, 0)],
+                ["adler-sweep_901_0", make_config("adler-sweep", 901, 0)]]
+    return configs + OTHER_CONFIGS
 
 
-def stripped_manifest(path):
+def manifest_fields(path):
+    """(fields, version) of a manifest: every field but timestamp and
+    version, those of ``derived`` as ``derived.<key>``, each as JSON text."""
     manifest = json.loads(path.read_text())
     del manifest["timestamp"]
-    probes = manifest["derived"].pop("search_probes", None)
-    return json.dumps(manifest, sort_keys=True), probes
+    version = manifest.pop("version")
+    fields = {f"derived.{k}": v for k, v in manifest.pop("derived").items()}
+    fields.update(manifest)
+    return {k: json.dumps(v, sort_keys=True) for k, v in fields.items()}, \
+        version
 
 
 def byte_identity(work):
@@ -194,8 +215,7 @@ def byte_identity(work):
         subprocess.run([sys.executable, "-c", IDENTITY_DRIVER,
                         str(work / "configs.json")], cwd=run_dir, env=env,
                        check=True, capture_output=True)
-    compared, differing, probes_differing = 0, [], []
-    searched = {side: [] for side in SIDES}
+    compared, differing, versions = 0, [], {side: set() for side in SIDES}
     for name, _ in configs:
         parent_dir = work / "identity-parent" / "out" / name
         change_dir = work / "identity-change" / "out" / name
@@ -207,31 +227,29 @@ def byte_identity(work):
             compared += 1
             a, b = parent_dir / file, change_dir / file
             if file.endswith("_manifest.json"):
-                (text_a, probes_a), (text_b, probes_b) = (
-                    stripped_manifest(a), stripped_manifest(b))
-                same = text_a == text_b
-                if probes_a != probes_b:
-                    probes_differing.append(name)
-                if probes_a is not None:
-                    searched["parent"].append(len(probes_a))
-                    searched["change"].append(len(probes_b))
-            else:
-                same = a.read_bytes() == b.read_bytes()
-            if not same:
+                (fields_a, version_a), (fields_b, version_b) = (
+                    manifest_fields(a), manifest_fields(b))
+                versions["parent"].add(version_a)
+                versions["change"].add(version_b)
+                keys = sorted(k for k in fields_a.keys() | fields_b.keys()
+                              if fields_a.get(k) != fields_b.get(k))
+                if keys:
+                    differing.append(f"{name}/{file}: {', '.join(keys)}")
+            elif a.read_bytes() != b.read_bytes():
                 differing.append(f"{name}/{file}")
     return {"protocol": "each config run through ringlock.cli.main on a git "
                         "archive of each side; every table compared byte for "
                         "byte, and every manifest minus timestamp and "
-                        "derived.search_probes; the configs whose "
-                        "search_probes differ are listed apart",
+                        "version; a differing manifest is listed with the "
+                        "fields that differ",
             "configs": "seo (tests/test_cli.py SEO_BASE at 300 cycles x 50 "
                        "steps) and mml (mml-search seed 901 op 0), each at "
                        "l0_factor in {0.5, 0.7, 0.95, 1.0, 1.05, 1.3, 2.0} x "
-                       "theta_ph in {0, -2e3}: 28 configs; plus mml-search "
-                       "seed 4242 ops 0-19",
-            "files_compared": compared, "files_differing": differing,
-            "search_probes_differing": probes_differing,
-            "search_probes_per_config": searched}
+                       "theta_ph in {0, -2e3}: 28 configs; mml-search seed "
+                       "4242 ops 0-19; lattice-chain and adler-sweep seed "
+                       "901 op 0; one comb, pulse and noise config",
+            "versions": {side: sorted(v) for side, v in versions.items()},
+            "files_compared": compared, "files_differing": differing}
 
 
 def main(argv=None):
@@ -246,7 +264,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     first, last = (int(s) for s in args.seeds.split("-"))
     seeds = range(first, last + 1)
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    seconds = BENCHMARK["run_seconds"]
 
     revisions = {}
     for side in SIDES:
