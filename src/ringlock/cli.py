@@ -175,11 +175,15 @@ def _parse(config: ExperimentConfig) -> tuple[dict, list[str]]:
     ``{"value", "unit"}`` record, cast to its spec's kind and defaulted
     when absent; it is complete only when ``findings`` is empty.
     """
-    schema = SCHEMAS.get(config.experiment)
+    schema = SCHEMAS.get(config.experiment) \
+        if isinstance(config.experiment, str) else None
     if schema is None:
         return {}, [f"unknown experiment {config.experiment!r}; choose from "
                     + ", ".join(sorted(SCHEMAS))]
     params = config.parameters
+    if not isinstance(params, dict):
+        return {}, ["parameters: expected a JSON object (got "
+                    f"{json.dumps(params, default=repr)})"]
     findings = [f"unknown key {key!r}" for key in params if key not in schema]
     values = {}
     for key, spec in schema.items():
@@ -631,15 +635,30 @@ def preset_text(name: str) -> str:
 # ---------------------------------------------------------------------------
 # entry point
 
-def _load_config(path: str, seed_override, out_override) -> ExperimentConfig:
+def _load_config(path: str, seed_override, out_override):
+    """(config, findings): a config file read into an ExperimentConfig, or
+    None with the findings on the file's top level.  The file's ``seed``
+    and ``output_dir`` are checked even where an override replaces them.
+    """
     with open(path) as fh:
         raw = json.load(fh)
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    out = out_override or os.environ.get("RINGLOCK_OUT") \
-        or raw.get("output_dir", "ringlock_out")
+    if not isinstance(raw, dict):
+        return None, ["a config must be a JSON object at the top level"]
+    findings = []
+    seed = raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        findings.append(f"seed: expected an integer (got {json.dumps(seed)})")
+    out = raw.get("output_dir", "ringlock_out")
+    if not isinstance(out, str):
+        findings.append(f"output_dir: expected a string "
+                        f"(got {json.dumps(out)})")
+    if findings:
+        return None, findings
+    seed = seed_override if seed_override is not None else seed
+    out = out_override or os.environ.get("RINGLOCK_OUT") or out
     return ExperimentConfig(experiment=raw.get("experiment", ""),
                             parameters=raw.get("parameters", {}),
-                            seed=int(seed), output_dir=Path(out))
+                            seed=seed, output_dir=Path(out)), []
 
 
 def main(argv=None) -> int:
@@ -670,14 +689,14 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        config = _load_config(args.config,
-                              getattr(args, "seed", None),
-                              getattr(args, "out", None))
+        config, findings = _load_config(args.config,
+                                        getattr(args, "seed", None),
+                                        getattr(args, "out", None))
     except (OSError, json.JSONDecodeError) as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 2
 
-    findings = validate_config(config)
+    findings = findings or validate_config(config)
     stream = sys.stdout if args.command == "validate" else sys.stderr
     for f in findings:
         print(f"finding: {f}", file=stream)

@@ -189,8 +189,7 @@ def hamiltonian(state: LatticeState, config: LatticeConfig) -> float:
 
 
 def sample_gibbs(beta_n: float, n_modes: int, seed: int,
-                 n_samples: int = 1,
-                 boundary: str = "open_chain") -> np.ndarray:
+                 n_samples: int = 1) -> np.ndarray:
     """Weak-noise steady-state sampler for the open chain.
 
     Draws independent Gaussian neighbor differences with variance 2*beta_N
@@ -205,9 +204,6 @@ def sample_gibbs(beta_n: float, n_modes: int, seed: int,
     Returns an array of shape (n_samples, n_modes); a single sample can be
     wrapped in :class:`LatticeState` directly.
     """
-    if boundary != "open_chain":
-        raise ValueError("periodic boundary is unsupported: the winding "
-                         "constraint breaks link independence")
     if not 0.0 <= beta_n <= 0.5:
         raise ValueError("beta_n must lie in [0, 0.5] (weak-noise regime)")
     if n_modes < 2:
@@ -318,7 +314,7 @@ class LatticeRunStats:
     N^2/(pi^2 mu_M): at N = 64, beta_N = 0.1 and 3e5 steps, ``diff_sq_se``
     reads 0.0038 in the mean over 40 seeds, where ``diff_sq`` spreads
     between those seeds with an sd of 0.0074, about 2x more.  Replica
-    ensembles are the planned remedy (ROADMAP, open item 4).
+    ensembles are the planned remedy (ROADMAP, open item 2).
     """
 
     n_samples: int

@@ -22,9 +22,8 @@ gamma_H0, a much larger term of opposite sign.  The system self-oscillates
 (SEO) or mode-locks mechanically (MML) once the total effective damping
 gamma_m + gamma_H0 + gamma_H1 turns negative.
 
-Internally the integrator works in units of 1/w_m for time and a
-displacement scale chosen so |k_A1 x| stays O(0.1); public interfaces are
-SI.
+Every quantity is SI, inside the integrator as at its interfaces: float64
+needs no rescaling, and RK4 commutes with a change of units.
 """
 
 import math
@@ -497,10 +496,9 @@ def drive_intensity(drive: IntensityDrive, mech: MechParams,
     equilibrium x_eq = Theta_FH T_R/(m w^2), and the comb peak is placed at
     the turning point where A_H(x) is minimal (x > 0 side for k_A1 < 0).
 
-    This is the SI reference law, evaluated through
+    This is the reference law, evaluated through
     :func:`ringlock.comb.comb_closed`; :func:`simulate` runs its own
-    nondimensional copy of each mode's law, and the tests hold the two
-    together.
+    inline copy of each mode's law, and the tests hold the two together.
     """
     if drive.mode == "cw":
         return drive.l0
@@ -521,60 +519,55 @@ def drive_intensity(drive: IntensityDrive, mech: MechParams,
     return drive.l0 * comb_closed(psi + offset, beta)
 
 
-def _rhs(drive: IntensityDrive, mech: MechParams, h_scale: float,
-         x_ref: float, t_ref: float, ka1: float, ka2: float, g: float,
-         kap: float, c_ph: float, c_fh: float):
-    """The nondimensional right-hand side (x', v', T_R') of one drive mode.
+def _rhs(drive: IntensityDrive, mech: MechParams,
+         absorption: AbsorptionModel):
+    """The right-hand side (x', v', T_R') of one drive mode, in SI.
 
-    Each mode's drive law is written inline with its constants bound once,
-    so an RK4 stage is a single call.  The arithmetic follows
-    :func:`drive_intensity` operation for operation.  The drive's
-    constructor keeps every comb linewidth in the domain of
+    The constants are bound once and each mode's drive law is written
+    inline, so an RK4 stage is a single call.  The law is
+    :func:`drive_intensity`'s, with L0 A_H0 bound as one factor.  The
+    drive's constructor keeps every comb linewidth in the domain of
     :func:`ringlock.comb.comb_closed`: the comb's beta, and the closed
     loop's beta_floor, which with the cap at 30 bounds every stage's beta.
     """
-    w0 = mech.omega_m
-    m2g = -2.0 * g
-    l0 = drive.l0
+    w0, theta_ph = mech.omega_m, mech.theta_ph
+    m2g = -2.0 * mech.gamma_m
+    fh_per_m = mech.theta_fh / mech.m_m
+    kap = mech.kappa_m
+    l0a = drive.l0 * absorption.a_h0
+    ka1, ka2 = absorption.k_a1, absorption.k_a2
     if drive.mode == "cw":
-        q = l0 * h_scale
-
-        def cw_rhs(tau, xs, ws, th):
-            freq = 1.0 + c_ph * th
-            return (ws,
-                    m2g * ws - freq * freq * xs + c_fh * th,
-                    q * (1.0 + ka1 * xs + ka2 * xs * xs) - kap * th)
+        def cw_rhs(t, x, v, t_r):
+            w = w0 + theta_ph * t_r
+            return (v,
+                    m2g * v - w * w * x + fh_per_m * t_r,
+                    l0a * (1.0 + ka1 * x + ka2 * x * x) - kap * t_r)
         return cw_rhs
 
     if drive.mode == "comb":
         omega_pulse = drive.omega_pulse
         sinh_b, sh2 = closed_factors(drive.beta)
 
-        def comb_rhs(tau, xs, ws, th):
-            sn = sin(0.5 * (omega_pulse * (tau / w0)))
-            lh = l0 * (sinh_b / (2.0 * (sh2 + sn * sn)))
-            freq = 1.0 + c_ph * th
-            return (ws,
-                    m2g * ws - freq * freq * xs + c_fh * th,
-                    lh * h_scale * (1.0 + ka1 * xs + ka2 * xs * xs)
-                    - kap * th)
+        def comb_rhs(t, x, v, t_r):
+            sn = sin(0.5 * (omega_pulse * t))
+            heat = l0a * (sinh_b / (2.0 * (sh2 + sn * sn)))
+            w = w0 + theta_ph * t_r
+            return (v,
+                    m2g * v - w * w * x + fh_per_m * t_r,
+                    heat * (1.0 + ka1 * x + ka2 * x * x) - kap * t_r)
         return comb_rhs
 
     # closed_loop: phase and linewidth slaved to the mirror motion
-    theta_ph = mech.theta_ph
-    fh_per_m = mech.theta_fh / mech.m_m
-    v_ref = x_ref * w0
     offset = -math.pi if ka1 > 0.0 else 0.0
     coupling, t_n = drive.coupling, drive.t_n
     beta_floor = drive.beta_floor
     sinh_floor, sh2_floor = closed_factors(min(beta_floor, _BETA_FLAT))
     sinh_flat, sh2_flat = closed_factors(_BETA_FLAT)
 
-    def closed_loop_rhs(tau, xs, ws, th):
-        t_r = th * t_ref
+    def closed_loop_rhs(t, x, v, t_r):
         w = w0 + theta_ph * t_r
-        xc = xs * x_ref - fh_per_m * t_r / (w * w)
-        vn = ws * v_ref / w0
+        xc = x - fh_per_m * t_r / (w * w)
+        vn = v / w0
         amp = hypot(xc, vn)
         psi = atan2(-vn, xc) if amp > 0.0 else 0.0
         mu_m = coupling * amp
@@ -590,25 +583,22 @@ def _rhs(drive: IntensityDrive, mech: MechParams, h_scale: float,
         else:
             sinh_b, sh2 = sinh_flat, sh2_flat
         sn = sin(0.5 * (psi + offset))
-        lh = l0 * (sinh_b / (2.0 * (sh2 + sn * sn)))
-        freq = 1.0 + c_ph * th
-        return (ws,
-                m2g * ws - freq * freq * xs + c_fh * th,
-                lh * h_scale * (1.0 + ka1 * xs + ka2 * xs * xs) - kap * th)
+        heat = l0a * (sinh_b / (2.0 * (sh2 + sn * sn)))
+        return (v,
+                m2g * v - w * w * x + fh_per_m * t_r,
+                heat * (1.0 + ka1 * x + ka2 * x * x) - kap * t_r)
     return closed_loop_rhs
 
 
 def simulate(mech: MechParams, absorption: AbsorptionModel,
              drive: IntensityDrive, x0: float, v0: float, t_end: float,
              dt: float, store_every: int = 1) -> MirrorTrajectory:
-    """Integrate the coupled (x, v, T_R) system with fixed-step RK4.
+    """Integrate the coupled (x, v, T_R) system in SI with fixed-step RK4.
 
-    The step must resolve the mechanical period: dt <= 2 pi/(50 w_m).
-    Integration is carried out in nondimensional variables (time unit
-    1/w_m, displacement unit 0.1/|k_A1|) and converted back to SI in the
-    returned trajectory, decimated by ``store_every``.  Each drive mode has
-    one fused right-hand side, built once per run with the drive law
-    inline; :func:`drive_intensity` is the SI reference for that law.
+    The step must resolve the mechanical period: dt <= 2 pi/(50 w_m).  The
+    returned trajectory is decimated by ``store_every``.  Each drive mode
+    has one fused right-hand side, built once per run with the drive law
+    inline; :func:`drive_intensity` is the reference for that law.
 
     Above an instability threshold the linear growth is unbounded; the run
     halts with :class:`InstabilityError`, at the end time of the step that
@@ -624,25 +614,12 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
     if store_every < 1:
         raise ValueError("store_every must be >= 1")
 
-    w0 = mech.omega_m
-    x_ref = 0.1 / abs(absorption.k_a1) if absorption.k_a1 != 0.0 \
-        else max(abs(x0), 1e-9)
-    t_ref = drive.l0 * absorption.a_h0 / mech.kappa_m if drive.l0 > 0.0 \
-        else 1.0
-
-    # nondimensional coefficients
-    kap = mech.kappa_m / w0
-    c_ph = mech.theta_ph * t_ref / w0
-    c_fh = mech.theta_fh * t_ref / (mech.m_m * x_ref * w0 * w0)
-    ka1 = absorption.k_a1 * x_ref
-    rhs = _rhs(drive, mech, h_scale=absorption.a_h0 / (t_ref * w0),
-               x_ref=x_ref, t_ref=t_ref, ka1=ka1,
-               ka2=absorption.k_a2 * x_ref * x_ref, g=mech.gamma_m / w0,
-               kap=kap, c_ph=c_ph, c_fh=c_fh)
-
+    rhs = _rhs(drive, mech, absorption)
+    w0, theta_ph = mech.omega_m, mech.theta_ph
+    x_limit = 1.0 / abs(absorption.k_a1) if absorption.k_a1 != 0.0 \
+        else math.inf
     n_steps = int(round(t_end / dt))
-    h = dt * w0
-    xs, ws, th = x0 / x_ref, v0 / (x_ref * w0), 0.0
+    x, v, t_r = x0, v0, 0.0
 
     n_store = n_steps // store_every + 1
     time = np.empty(n_store)
@@ -652,22 +629,21 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
     time[0], xa[0], va[0], ta[0] = 0.0, x0, v0, 0.0
     j = 1
 
-    kx_limit = 1.0 / abs(ka1) if ka1 != 0.0 else math.inf
     for i in range(1, n_steps + 1):
-        a1, b1, c1 = rhs((i - 1) * h, xs, ws, th)
-        a2, b2, c2 = rhs((i - 0.5) * h, xs + 0.5 * h * a1, ws + 0.5 * h * b1,
-                         th + 0.5 * h * c1)
-        a3, b3, c3 = rhs((i - 0.5) * h, xs + 0.5 * h * a2, ws + 0.5 * h * b2,
-                         th + 0.5 * h * c2)
-        a4, b4, c4 = rhs(i * h, xs + h * a3, ws + h * b3, th + h * c3)
-        xs += h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        ws += h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        th += h / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        a1, b1, c1 = rhs((i - 1) * dt, x, v, t_r)
+        a2, b2, c2 = rhs((i - 0.5) * dt, x + 0.5 * dt * a1,
+                         v + 0.5 * dt * b1, t_r + 0.5 * dt * c1)
+        a3, b3, c3 = rhs((i - 0.5) * dt, x + 0.5 * dt * a2,
+                         v + 0.5 * dt * b2, t_r + 0.5 * dt * c2)
+        a4, b4, c4 = rhs(i * dt, x + dt * a3, v + dt * b3, t_r + dt * c3)
+        x += dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        v += dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        t_r += dt / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
 
-        bad = not (math.isfinite(xs) and math.isfinite(ws)
-                   and math.isfinite(th))
-        if bad or abs(xs) > kx_limit or 1.0 + c_ph * th <= 0.0:
-            if bad or abs(xs) > kx_limit:
+        bad = not (math.isfinite(x) and math.isfinite(v)
+                   and math.isfinite(t_r))
+        if bad or abs(x) > x_limit or w0 + theta_ph * t_r <= 0.0:
+            if bad or abs(x) > x_limit:
                 reason = "integration left the linear-absorption domain"
             else:
                 reason = ("the thermal frequency omega_m + theta_ph*T_R "
@@ -676,10 +652,7 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
                 f"{reason} at t = {i * dt:.6g} s", t=i * dt,
                 trajectory=MirrorTrajectory(time[:j], xa[:j], va[:j], ta[:j]))
         if i % store_every == 0:
-            time[j] = i * dt
-            xa[j] = xs * x_ref
-            va[j] = ws * x_ref * w0
-            ta[j] = th * t_ref
+            time[j], xa[j], va[j], ta[j] = i * dt, x, v, t_r
             j += 1
 
     return MirrorTrajectory(time[:j], xa[:j], va[:j], ta[:j])

@@ -468,6 +468,7 @@ class TestMainEntry:
                    coupling=2.5e14, beta_floor=0.05)
         assert validate_config(ExperimentConfig("mml", mml, 0, tmp_path)) \
             == []
+        comb = {"beta": 0.2, "n_points": 16}
         for name, payload, key in (
                 ("nan.json", {"experiment": "seo", "parameters": dict(
                     TestRunExperiment.SEO_BASE, k_a1=float("nan"))}, "k_a1"),
@@ -514,7 +515,27 @@ class TestMainEntry:
                  "Welch segment"),
                 ("detuning.json", {"experiment": "adler", "parameters": dict(
                     ADLER_PARAMS, omega_r=ADLER_PARAMS["omega_am"])},
-                 "omega_r")):
+                 "omega_r"),
+                # a config of the wrong shape is a finding too, never a
+                # traceback, and a seed that is not an integer is not cast
+                ("list.json", [{"experiment": "comb", "parameters": comb}],
+                 "JSON object"),
+                ("params_list.json", {"experiment": "comb",
+                                      "parameters": ["beta"]}, "parameters"),
+                ("params_null.json", {"experiment": "comb",
+                                      "parameters": None}, "parameters"),
+                ("seed_text.json", {"experiment": "comb", "seed": "abc",
+                                    "parameters": comb}, "seed"),
+                ("seed_null.json", {"experiment": "comb", "seed": None,
+                                    "parameters": comb}, "seed"),
+                ("seed_float.json", {"experiment": "comb", "seed": 1.5,
+                                     "parameters": comb}, "seed"),
+                ("seed_bool.json", {"experiment": "comb", "seed": True,
+                                    "parameters": comb}, "seed"),
+                ("experiment.json", {"experiment": ["comb"],
+                                     "parameters": comb}, "experiment"),
+                ("output_dir.json", {"experiment": "comb", "output_dir": 5,
+                                     "parameters": comb}, "output_dir")):
             path = write_config(tmp_path, payload, name)
             out = tmp_path / name.replace(".json", "_out")
             capsys.readouterr()

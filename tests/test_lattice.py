@@ -151,10 +151,6 @@ class TestSampleGibbs:
             assert abs(c.real / np.exp(-0.1 * k) - 1.0) < 0.03
             assert abs(c.imag) < 0.01
 
-    def test_periodic_boundary_unsupported(self):
-        with pytest.raises(ValueError):
-            sample_gibbs(0.1, 16, seed=0, boundary="periodic")
-
     def test_weak_noise_precondition(self):
         with pytest.raises(ValueError):
             sample_gibbs(0.6, 16, seed=0)

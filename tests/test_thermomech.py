@@ -1,4 +1,6 @@
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,8 +330,9 @@ class TestSimulateReference:
         ("closed_loop_mid_beta", -2e3), ("closed_loop_at_rest", -2e3),
         ("cw", -2e3), ("comb", -2e3)])
     def test_matches_si_rk4(self, mode, theta_ph):
-        # the nondimensional RK4 of simulate() against the SI one: RK4
-        # commutes with rescaling time and state, so they agree to rounding.
+        # simulate()'s fused RK4 against engine.rk4_step over
+        # drive_intensity: both step the same SI equations, so they agree
+        # to rounding.
         # The closed loop's beta = t_n/(2 mu_M) sits at beta_floor for a
         # coupling of 1e4 omega_m |k_A1| and near 0.5, between the floor and
         # the flat cap 30, for omega_m |k_A1|; a start at rest has amplitude
@@ -365,6 +368,44 @@ class TestSimulateReference:
         for got, want in zip((traj.x, traj.v, traj.t_r_rel), ref):
             assert got.size == want.size == n + 1
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+class TestUnitCovariance:
+    def test_mml_search_ops_share_one_scaled_trajectory(self):
+        # the benchmark's mml-search ops rescale omega_m, m_m with Theta_FH,
+        # A_H0 and k_A1 (bench/workloads.py), which leaves the equations
+        # unchanged in the scaled variables k_A1 x, k_A1 v/omega_m,
+        # T_R/(L0 A_H0/kappa_m) and omega_m t.  RK4 commutes with that change
+        # of units, so every op runs the same probe to rounding
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        make_config = runpy.run_path(str(path))["make_config"]
+        runs = []
+        for op in range(3):
+            p = make_config("mml-search", 901, op)["parameters"]
+            mech = MechParams(p["m_m"], p["omega_m"], p["gamma_m"],
+                              p["theta_ph"], p["theta_fh"], p["kappa_m"])
+            absorption = AbsorptionModel(p["a_h0"], p["k_a1"])
+            l0 = 1.025 * mml_threshold(mech, absorption, p["t_n"])
+            drive = IntensityDrive.closed_loop(l0, p["coupling"],
+                                               p["beta_floor"], p["t_n"])
+            w, k = p["omega_m"], p["k_a1"]
+            grew, ratio, traj, halted = thermomech.probe_growth(
+                mech, absorption, drive, x0=p["t_n"] / (w * abs(k)),
+                t_end=p["n_cycles"] * 2 * np.pi / w,
+                dt=2 * np.pi / (p["steps_per_cycle"] * w),
+                store_every=p["store_every"])
+            runs.append((w, (grew, halted),
+                         (k * traj.x, k * traj.v / w,
+                          traj.t_r_rel * p["kappa_m"] / (l0 * p["a_h0"]),
+                          w * traj.time)))
+        assert len({w for w, _, _ in runs}) == len(runs)
+        (_, outcome, scaled), *others = runs
+        for _, other_outcome, other_scaled in others:
+            assert other_outcome == outcome
+            for got, want in zip(other_scaled, scaled):
+                assert got.size == want.size
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-12 * np.max(np.abs(want))
 
 
 class TestLinearResponseOracle:

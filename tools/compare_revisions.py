@@ -21,6 +21,9 @@ from there, so uncommitted files play no part.  Three records are written to
   ``timestamp`` and ``version`` are dropped (each side's version is
   recorded).  A manifest that differs is listed with the fields that
   differ, ``derived.search_probes`` or ``derived.halted_at`` for instance.
+  A table that differs gets its size in ``table_differences``: per column,
+  the largest |a - b| over the column's largest |a|, so a change at
+  rounding level reads apart from a change in physics.
 
 The workloads and the end-to-end metrics are those of ``BENCHMARK.json``,
 and every benchmark run lasts its ``run_seconds`` (40 s), so a seed takes
@@ -205,6 +208,21 @@ def manifest_fields(path):
         version
 
 
+def table_difference(a, b):
+    """Per column, the largest |a - b| over the column's largest |a|, for
+    two tables of one header and shape; None for any other pair."""
+    header_a, header_b = (p.read_text().partition("\n")[0] for p in (a, b))
+    x, y = np.loadtxt(a, ndmin=2), np.loadtxt(b, ndmin=2)
+    if header_a != header_b or x.shape != y.shape:
+        return None
+    sizes = {}
+    for name, col_a, col_b in zip(header_a.lstrip("# ").split(), x.T, y.T):
+        diff, scale = np.max(np.abs(col_a - col_b)), np.max(np.abs(col_a))
+        sizes[name] = float(diff / scale) if scale > 0.0 \
+            else (0.0 if diff == 0.0 else float("inf"))
+    return sizes
+
+
 def byte_identity(work):
     configs = identity_configs(work)
     (work / "configs.json").write_text(json.dumps(configs))
@@ -216,6 +234,7 @@ def byte_identity(work):
                         str(work / "configs.json")], cwd=run_dir, env=env,
                        check=True, capture_output=True)
     compared, differing, versions = 0, [], {side: set() for side in SIDES}
+    sizes = {}
     for name, _ in configs:
         parent_dir = work / "identity-parent" / "out" / name
         change_dir = work / "identity-change" / "out" / name
@@ -237,6 +256,7 @@ def byte_identity(work):
                     differing.append(f"{name}/{file}: {', '.join(keys)}")
             elif a.read_bytes() != b.read_bytes():
                 differing.append(f"{name}/{file}")
+                sizes[f"{name}/{file}"] = table_difference(a, b)
     return {"protocol": "each config run through ringlock.cli.main on a git "
                         "archive of each side; every table compared byte for "
                         "byte, and every manifest minus timestamp and "
@@ -249,7 +269,8 @@ def byte_identity(work):
                        "4242 ops 0-19; lattice-chain and adler-sweep seed "
                        "901 op 0; one comb, pulse and noise config",
             "versions": {side: sorted(v) for side, v in versions.items()},
-            "files_compared": compared, "files_differing": differing}
+            "files_compared": compared, "files_differing": differing,
+            "table_differences": sizes}
 
 
 def main(argv=None):
