@@ -210,9 +210,13 @@ def manifest_fields(path):
 
 def table_difference(a, b):
     """Per column, the largest |a - b| over the column's largest |a|, for
-    two tables of one header and shape; None for any other pair."""
+    two numeric tables of one header and shape; None for any other pair,
+    such as the noise table, whose first column holds names."""
     header_a, header_b = (p.read_text().partition("\n")[0] for p in (a, b))
-    x, y = np.loadtxt(a, ndmin=2), np.loadtxt(b, ndmin=2)
+    try:
+        x, y = np.loadtxt(a, ndmin=2), np.loadtxt(b, ndmin=2)
+    except ValueError:
+        return None
     if header_a != header_b or x.shape != y.shape:
         return None
     sizes = {}
