@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, adler, comb, lattice, pulses, thermomech
+from . import __version__, adler, comb, engine, lattice, pulses, thermomech
 
 
 # ---------------------------------------------------------------------------
@@ -169,22 +169,28 @@ def validate_config(config: ExperimentConfig) -> list[str]:
 
 
 def _parse(config: ExperimentConfig) -> tuple[dict, list[str]]:
-    """(values, findings): the one reading of a config's parameters.
+    """(values, findings): the one reading of a config.
 
-    ``values`` maps every schema key to its value, unwrapped from a
-    ``{"value", "unit"}`` record, cast to its spec's kind and defaulted
-    when absent; it is complete only when ``findings`` is empty.
+    The seed and output directory are checked first; ``values`` maps every
+    schema key to its value, unwrapped from a ``{"value", "unit"}`` record,
+    cast to its spec's kind and defaulted when absent; it is complete only
+    when ``findings`` is empty.
     """
+    findings = engine._seed_findings(config.seed)
+    if not isinstance(config.output_dir, (str, os.PathLike)):
+        findings.append("output_dir: expected a string or a path (got "
+                        f"{config.output_dir!r})")
     schema = SCHEMAS.get(config.experiment) \
         if isinstance(config.experiment, str) else None
     if schema is None:
-        return {}, [f"unknown experiment {config.experiment!r}; choose from "
-                    + ", ".join(sorted(SCHEMAS))]
+        return {}, findings + [f"unknown experiment {config.experiment!r}; "
+                               "choose from " + ", ".join(sorted(SCHEMAS))]
     params = config.parameters
     if not isinstance(params, dict):
-        return {}, ["parameters: expected a JSON object (got "
-                    f"{json.dumps(params, default=repr)})"]
-    findings = [f"unknown key {key!r}" for key in params if key not in schema]
+        return {}, findings + ["parameters: expected a JSON object (got "
+                               f"{json.dumps(params, default=repr)})"]
+    findings += [f"unknown key {key!r}" for key in params
+                 if key not in schema]
     values = {}
     for key, spec in schema.items():
         if key not in params:
@@ -635,30 +641,30 @@ def preset_text(name: str) -> str:
 # ---------------------------------------------------------------------------
 # entry point
 
-def _load_config(path: str, seed_override, out_override):
-    """(config, findings): a config file read into an ExperimentConfig, or
-    None with the findings on the file's top level.  The file's ``seed``
-    and ``output_dir`` are checked even where an override replaces them.
+def _load_config(path: str):
+    """(config, findings): a config file read into an ExperimentConfig, as
+    written, with a finding for each top-level key that is not one of its
+    fields; None in place of the config for a file that is not a JSON
+    object.  Its values are :func:`validate_config`'s to check.
     """
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         return None, ["a config must be a JSON object at the top level"]
-    findings = []
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        findings.append(f"seed: expected an integer (got {json.dumps(seed)})")
-    out = raw.get("output_dir", "ringlock_out")
-    if not isinstance(out, str):
-        findings.append(f"output_dir: expected a string "
-                        f"(got {json.dumps(out)})")
-    if findings:
-        return None, findings
-    seed = seed_override if seed_override is not None else seed
-    out = out_override or os.environ.get("RINGLOCK_OUT") or out
-    return ExperimentConfig(experiment=raw.get("experiment", ""),
-                            parameters=raw.get("parameters", {}),
-                            seed=seed, output_dir=Path(out)), []
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    known = {"experiment": "", "parameters": {}} | {
+        key: value for key, value in raw.items() if key in fields}
+    return ExperimentConfig(**known), [f"unknown top-level key {key!r}"
+                                       for key in raw if key not in fields]
+
+
+def _seed_arg(text: str) -> int:
+    """``--seed``: an integer that :class:`ringlock.engine.RngStream`
+    accepts."""
+    try:
+        return engine.RngStream(int(text)).seed
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(err) from None
 
 
 def main(argv=None) -> int:
@@ -669,7 +675,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=_seed_arg, default=None)
     p_run.add_argument("--out", default=None)
 
     p_val = sub.add_parser("validate", help="check a config without running")
@@ -689,14 +695,19 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        config, findings = _load_config(args.config,
-                                        getattr(args, "seed", None),
-                                        getattr(args, "out", None))
+        config, findings = _load_config(args.config)
     except (OSError, json.JSONDecodeError) as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 2
 
-    findings = findings or validate_config(config)
+    if config is not None:
+        # the file's own values are checked, also where an option wins
+        findings += validate_config(config)
+        if args.command == "run":
+            config = dataclasses.replace(
+                config, seed=config.seed if args.seed is None else args.seed,
+                output_dir=(args.out or os.environ.get("RINGLOCK_OUT")
+                            or config.output_dir))
     stream = sys.stdout if args.command == "validate" else sys.stderr
     for f in findings:
         print(f"finding: {f}", file=stream)

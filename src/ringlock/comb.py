@@ -48,10 +48,12 @@ def constraint_findings(beta: float, name: str = "beta") -> list[str]:
 
 def closed_factors(beta: float):
     """(sinh(beta), sinh(beta/2)^2): the factors of :func:`comb_closed`
-    that do not depend on the phase ``s``.
+    that do not depend on the phase ``s``, as Python floats.
 
-    Time loops that evaluate the comb at many phases for one ``beta`` bind
-    them once; the caller checks ``beta``'s domain.
+    Time loops that step Python floats bind them once per ``beta`` and
+    write the comb inline; the caller checks ``beta``'s domain.  They come
+    from ``math.sinh``, which may differ from numpy's by an ulp, so such a
+    loop agrees with :func:`comb_closed` to a few ulp.
     """
     sh = math.sinh(0.5 * beta)
     return math.sinh(beta), sh * sh
@@ -65,16 +67,10 @@ def comb_closed(s, beta: float):
     near the peak at small beta cost up to 2 eps/beta^2 of relative
     accuracy; the peak coth(beta/2) now comes out within a few ulp.
 
-    Strictly positive and 2*pi-periodic in ``s``; accepts scalars or arrays.
-    A Python float ``s`` (``np.float64`` is one) takes a ``math`` path and
-    returns a Python float, free of numpy's per-call scalar overhead in time
-    loops.  The paths agree to a few ulp.
+    Strictly positive and 2*pi-periodic in ``s``; accepts scalars or arrays
+    and evaluates both with numpy (a scalar ``s`` gives an ``np.float64``).
     """
     require(constraint_findings(beta))
-    if isinstance(s, float):
-        sinh_b, sh2 = closed_factors(beta)
-        sn = math.sin(0.5 * s)
-        return sinh_b / (2.0 * (sh2 + sn * sn))
     sh, sn = np.sinh(0.5 * beta), np.sin(0.5 * np.asarray(s))
     return np.sinh(beta) / (2.0 * (sh * sh + sn * sn))
 

@@ -47,6 +47,21 @@ def require(findings: list[str], error: type = ValueError) -> None:
         raise error("; ".join(findings))
 
 
+def _seed_findings(seed) -> list[str]:
+    """Violations of the seed's domain, an integer in [0, 2**64) (the
+    first word of the Philox key); an empty list means valid.
+
+    :class:`RngStream` and the CLI's config validation check it here, so a
+    seed outside the key's range is refused rather than reduced modulo
+    2**64 onto another seed's stream.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        return [f"seed: expected an integer (got {seed!r})"]
+    if not 0 <= seed < 2 ** 64:
+        return [f"seed must lie in [0, 2**64) (got {seed})"]
+    return []
+
+
 @dataclass
 class RngStream:
     """Counter-based random stream.
@@ -55,10 +70,14 @@ class RngStream:
     ``(seed, counter)`` and then increments ``counter``, so the stream is a
     reproducible sequence of independent blocks.  Substreams for parallel
     work are derived by offsetting the counter (see :func:`substream`).
+    ``seed`` must be an integer in [0, 2**64).
     """
 
     seed: int
     counter: int = 0
+
+    def __post_init__(self):
+        require(_seed_findings(self.seed))
 
 
 def substream(stream: RngStream, run_index: int) -> RngStream:
@@ -81,8 +100,8 @@ def normal_draws(stream: RngStream, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    key = np.array([stream.seed & 0xFFFFFFFFFFFFFFFF,
-                    stream.counter & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    key = np.array([stream.seed, stream.counter & 0xFFFFFFFFFFFFFFFF],
+                   dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     stream.counter += 1
     return gen.standard_normal(n)

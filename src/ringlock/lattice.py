@@ -175,16 +175,22 @@ def step_lattice(state: LatticeState, config: LatticeConfig,
     return LatticeState(theta=new, time=state.time + config.dt)
 
 
+def _links(theta: np.ndarray, periodic: bool) -> np.ndarray:
+    """Neighbor differences theta_{m-1} - theta_m along the last axis of
+    ``theta``; the periodic chain's wrap link theta_{N-1} - theta_0 comes
+    last."""
+    d = theta[..., :-1] - theta[..., 1:]
+    if periodic:
+        d = np.concatenate((d, theta[..., -1:] - theta[..., :1]), axis=-1)
+    return d
+
+
 def hamiltonian(state: LatticeState, config: LatticeConfig) -> float:
     """H = -mu_M * sum over neighbor pairs of cos(theta_{m-1} - theta_m).
 
     The drift in :func:`step_lattice` is exactly -dH/dtheta_m.
     """
-    theta = state.theta
-    if config.boundary == "periodic":
-        d = np.roll(theta, 1) - theta
-    else:
-        d = theta[:-1] - theta[1:]
+    d = _links(state.theta, config.boundary == "periodic")
     return float(-config.mu_m * np.sum(np.cos(d)))
 
 
@@ -220,6 +226,18 @@ def sample_gibbs(beta_n: float, n_modes: int, seed: int,
     return theta
 
 
+def _intensity(thetas: np.ndarray, r: np.ndarray, s_grid) -> np.ndarray:
+    """V(s) = |sum_m r_m e^{i(m s + theta_m)}|^2 / N for the phase vectors
+    along the last axis of ``thetas``; the last axis of the result runs
+    over ``s_grid``."""
+    n_modes = thetas.shape[-1]
+    if r.size != n_modes:
+        raise ValueError("amplitude and state size mismatch")
+    m = np.arange(n_modes)
+    basis = np.exp(1j * np.multiply.outer(m, np.asarray(s_grid, dtype=float)))
+    return np.abs((r * np.exp(1j * thetas)) @ basis) ** 2 / n_modes
+
+
 def intensity_waveform(state: LatticeState, amps: ModeAmplitudes,
                        s_grid: np.ndarray) -> np.ndarray:
     """Single-realization intensity V(s) = |sum_m r_m e^{i(m s + theta_m)}|^2 / N.
@@ -227,15 +245,7 @@ def intensity_waveform(state: LatticeState, amps: ModeAmplitudes,
     Ensemble averaging over states is the caller's job (see
     :func:`ensemble_intensity`).
     """
-    theta = state.theta
-    r = amps.r
-    if r.size != theta.size:
-        raise ValueError("amplitude and state size mismatch")
-    s_grid = np.asarray(s_grid, dtype=float)
-    m = np.arange(theta.size)
-    phases = np.multiply.outer(s_grid, m) + theta[None, :]  # (S, N)
-    field = (r[None, :] * np.exp(1j * phases)).sum(axis=1)
-    return np.abs(field) ** 2 / theta.size
+    return _intensity(state.theta, amps.r, s_grid)
 
 
 def ensemble_intensity(thetas: np.ndarray, amps: ModeAmplitudes,
@@ -246,17 +256,9 @@ def ensemble_intensity(thetas: np.ndarray, amps: ModeAmplitudes,
     the length of ``s_grid``.
     """
     thetas = np.asarray(thetas, dtype=float)
-    n_samples, n_modes = thetas.shape
-    if amps.r.size != n_modes:
-        raise ValueError("amplitude and state size mismatch")
-    s_grid = np.asarray(s_grid, dtype=float)
-    m = np.arange(n_modes)
-    basis = np.exp(1j * np.multiply.outer(m, s_grid))     # (N, S)
-    z = amps.r[None, :] * np.exp(1j * thetas)             # (n, N)
-    v = np.abs(z @ basis) ** 2 / n_modes                  # (n, S)
-    mean = v.mean(axis=0)
-    se = v.std(axis=0, ddof=1) / np.sqrt(n_samples)
-    return mean, se
+    n_samples, _ = thetas.shape
+    v = _intensity(thetas, amps.r, s_grid)                # (n, S)
+    return v.mean(axis=0), v.std(axis=0, ddof=1) / np.sqrt(n_samples)
 
 
 def phase_correlation(trajectory, k: int) -> complex:
@@ -276,22 +278,20 @@ def phase_correlation(trajectory, k: int) -> complex:
 
 
 def _lag_correlation(thetas: np.ndarray, k: int) -> complex:
-    """Mean of e^{i(theta_{m-k} - theta_m)} over the rows (sampled phase
-    vectors) and sites of ``thetas``."""
+    """Mean of e^{i(theta_{m-k} - theta_m)} over the sites (last axis) and
+    the sampled phase vectors (every other axis) of ``thetas``."""
     if k == 0:
         return 1.0 + 0.0j
-    return complex(np.exp(1j * (thetas[:, :-k] - thetas[:, k:])).mean())
+    return complex(np.exp(1j * (thetas[..., :-k] - thetas[..., k:])).mean())
 
 
 def _block_means(block: np.ndarray, mu_m: float, max_lag: int,
                  periodic: bool):
     """Means over a block of sampled phase vectors (rows): the wrapped
     neighbor-difference square, the energy, and the lag-k correlations for
-    k = 0..max_lag.  The periodic chain's neighbor pairs include the wrap
-    link theta_{N-1} - theta_0, as in :func:`hamiltonian`."""
-    d1 = block[:, :-1] - block[:, 1:]
-    if periodic:
-        d1 = np.concatenate((d1, block[:, -1:] - block[:, :1]), axis=1)
+    k = 0..max_lag.  The neighbor pairs are those of :func:`hamiltonian`
+    (:func:`_links`)."""
+    d1 = _links(block, periodic)
     dw = (d1 + np.pi) % (2.0 * np.pi) - np.pi
     energy = -mu_m * float(np.cos(d1).sum()) / block.shape[0]
     corr = [_lag_correlation(block, k) for k in range(max_lag + 1)]

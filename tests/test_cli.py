@@ -164,6 +164,25 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(cfg)
 
+    def test_top_level_checked_through_the_api(self, tmp_path):
+        # a config built in Python has its seed and output directory checked
+        # as a config file's are: a ValueError naming the field, before any
+        # output directory is made
+        out = tmp_path / "out"
+        for field_name, value in (("seed", 1.5), ("seed", True),
+                                  ("seed", -3), ("seed", 2 ** 64),
+                                  ("seed", 2 ** 70), ("output_dir", 5),
+                                  ("output_dir", None)):
+            cfg = dataclasses.replace(
+                ExperimentConfig("lattice", LATTICE_PARAMS, 0, out),
+                **{field_name: value})
+            assert any(field_name in f for f in validate_config(cfg)), value
+            with pytest.raises(ValueError, match=field_name):
+                run_experiment(cfg)
+            assert not out.exists(), (field_name, value)
+        assert validate_config(ExperimentConfig(
+            "lattice", LATTICE_PARAMS, 2 ** 64 - 1, str(out))) == []
+
     def test_checksums_match_files(self, tmp_path):
         cfg = ExperimentConfig("noise", NOISE_PARAMS, 3, tmp_path)
         manifest = run_experiment(cfg)
@@ -534,8 +553,16 @@ class TestMainEntry:
                                     "parameters": comb}, "seed"),
                 ("experiment.json", {"experiment": ["comb"],
                                      "parameters": comb}, "experiment"),
+                ("seed_negative.json", {"experiment": "comb", "seed": -3,
+                                        "parameters": comb}, "seed"),
+                ("seed_wide.json", {"experiment": "comb", "seed": 2 ** 70,
+                                    "parameters": comb}, "seed"),
                 ("output_dir.json", {"experiment": "comb", "output_dir": 5,
-                                     "parameters": comb}, "output_dir")):
+                                     "parameters": comb}, "output_dir"),
+                # a top-level key that is no field is refused, so a typo
+                # does not run on the default it misses
+                ("top_key.json", {"experiment": "comb", "sed": 5,
+                                  "parameters": comb}, "'sed'")):
             path = write_config(tmp_path, payload, name)
             out = tmp_path / name.replace(".json", "_out")
             capsys.readouterr()

@@ -60,22 +60,6 @@ class TestClosedForm:
                 with pytest.raises(ValueError):
                     comb_closed(s, beta)
 
-    def test_float_path_matches_array_path(self):
-        # a float s takes the math path and returns a Python float
-        s = np.concatenate([np.linspace(-7.0, 7.0, 1401),
-                            [0.0, 1e-9, 1e-3, np.pi]])
-        assert type(comb_closed(0.3, 1.0)) is float
-        assert type(comb_closed(np.float64(0.3), 1.0)) is float
-        for beta in (1e-6, 1e-3, 0.05, 1.0, 30.0):
-            array = comb_closed(s, beta)
-            scalar = np.array([comb_closed(float(si), beta) for si in s])
-            # the denominator 2 sinh^2(beta/2) + 2 sin^2(s/2) has no
-            # cancellation: numpy's vectorised sinh and the C library's
-            # may differ by an ulp, doubled by the square and again by
-            # counting in units of spacing(array)
-            assert np.all(np.abs(scalar - array)
-                          <= 4.0 * np.spacing(array)), beta
-
     def test_peak_within_few_ulp_at_small_beta(self):
         # the peak coth(beta/2) = 1 + 2/expm1(beta) (expm1 is accurate to
         # an ulp); cosh(beta) - cos(0) lost 2 eps/beta^2 to cancellation

@@ -46,6 +46,17 @@ class TestNormalDraws:
         with pytest.raises(ValueError):
             normal_draws(RngStream(0), 0)
 
+    def test_seed_range(self):
+        # the seed is the first word of the 64-bit Philox key: a seed outside
+        # [0, 2**64) is refused, not reduced onto another seed's stream
+        for bad in (-3, 2 ** 64, 2 ** 64 + 5, 2 ** 70, 1.5, 5.0, True, "5"):
+            with pytest.raises(ValueError, match="seed"):
+                RngStream(bad)
+        top = normal_draws(RngStream(2 ** 64 - 1), 8)
+        assert not np.array_equal(top, normal_draws(RngStream(0), 8))
+        assert np.array_equal(normal_draws(RngStream(np.uint64(5)), 8),
+                              normal_draws(RngStream(5), 8))
+
 
 class TestRk4:
     def test_harmonic_oscillator_energy_drift(self):

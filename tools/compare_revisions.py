@@ -61,11 +61,18 @@ SEO_BASE = {
 }
 L0_FACTORS = (0.5, 0.7, 0.95, 1.0, 1.05, 1.3, 2.0)
 THETA_PH = (0.0, -2e3)
-# one config of each experiment the threshold configs leave out; the
-# lattice and adler ones come from bench/workloads.py
+# one config of each experiment the threshold configs leave out (the open
+# chain's and adler's come from bench/workloads.py), and a periodic chain
+# with a burn-in and a stored trajectory; at beta = 0.2 numpy's sinh and
+# the C library's differ by an ulp
 OTHER_CONFIGS = [
     ["comb", {"experiment": "comb", "seed": 0,
               "parameters": {"beta": 0.2, "n_points": 512}}],
+    ["lattice-periodic", {"experiment": "lattice", "seed": 5, "parameters": {
+        "n_modes": 16, "mu_m": 1.0, "t_n": 0.3, "dt": 5e-3, "n_steps": 20000,
+        "burn_in": 17, "sample_every": 7, "max_lag": 5,
+        "store_trajectory": True, "traj_every": 101,
+        "boundary": "periodic"}}],
     ["pulse", {"experiment": "pulse", "seed": 0, "parameters": {
         "g_m_re": 0.1, "g_m_im": 0.02, "g0_re": 0.01, "n": 400}}],
     ["noise", {"experiment": "noise", "seed": 0, "parameters": {
@@ -271,7 +278,9 @@ def byte_identity(work):
                        "l0_factor in {0.5, 0.7, 0.95, 1.0, 1.05, 1.3, 2.0} x "
                        "theta_ph in {0, -2e3}: 28 configs; mml-search seed "
                        "4242 ops 0-19; lattice-chain and adler-sweep seed "
-                       "901 op 0; one comb, pulse and noise config",
+                       "901 op 0; one comb, pulse and noise config; a "
+                       "periodic lattice (N = 16, burn-in 17, every 7th "
+                       "step sampled, every 101st recorded)",
             "versions": {side: sorted(v) for side, v in versions.items()},
             "files_compared": compared, "files_differing": differing,
             "table_differences": sizes}
