@@ -274,15 +274,17 @@ def phase_correlation(trajectory, k: int) -> complex:
     k = abs(int(k))
     if k >= n_modes:
         raise ValueError("lag k must be smaller than the chain length")
-    return _lag_correlation(thetas, k)
+    return _lag_correlations(thetas, k)[k]
 
 
-def _lag_correlation(thetas: np.ndarray, k: int) -> complex:
-    """Mean of e^{i(theta_{m-k} - theta_m)} over the sites (last axis) and
-    the sampled phase vectors (every other axis) of ``thetas``."""
-    if k == 0:
-        return 1.0 + 0.0j
-    return complex(np.exp(1j * (thetas[..., :-k] - thetas[..., k:])).mean())
+def _lag_correlations(thetas: np.ndarray, max_lag: int) -> list[complex]:
+    """Means of e^{i(theta_{m-k} - theta_m)} for k = 0..max_lag, over the
+    sites (last axis) and the sampled phase vectors (every other axis) of
+    ``thetas``.  z = e^{i theta} is formed once, and lag k is the mean of
+    z_{m-k} conj(z_m); lag 0 is exactly 1."""
+    z = np.exp(1j * thetas)
+    return [1.0 + 0.0j] + [complex((z[..., :-k] * z[..., k:].conj()).mean())
+                           for k in range(1, max_lag + 1)]
 
 
 def _block_means(block: np.ndarray, mu_m: float, max_lag: int,
@@ -294,7 +296,7 @@ def _block_means(block: np.ndarray, mu_m: float, max_lag: int,
     d1 = _links(block, periodic)
     dw = (d1 + np.pi) % (2.0 * np.pi) - np.pi
     energy = -mu_m * float(np.cos(d1).sum()) / block.shape[0]
-    corr = [_lag_correlation(block, k) for k in range(max_lag + 1)]
+    corr = _lag_correlations(block, max_lag)
     return float(np.mean(dw * dw)), energy, corr
 
 

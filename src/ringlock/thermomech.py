@@ -27,7 +27,7 @@ needs no rescaling, and RK4 commutes with a change of units.
 """
 
 import math
-from math import atan2, hypot, sin, sinh
+from math import hypot, isfinite, sin, sinh
 from dataclasses import dataclass
 
 import numpy as np
@@ -526,7 +526,11 @@ def _rhs(drive: IntensityDrive, mech: MechParams,
     The constants are bound once and each mode's drive law is written
     inline, so an RK4 stage is a single call.  The law is
     :func:`drive_intensity`'s, with L0 A_H0 bound as one factor.  The
-    drive's constructor keeps every comb linewidth in the domain of
+    closed loop's is in algebraic form, without atan2 or sin: the comb's
+    2 sin^2((psi + offset)/2) is a ratio of xc, vn and the amplitude, and
+    the floor and flat linewidths' factors are folded at build time; it
+    agrees with the reference to rounding.  The drive's constructor keeps
+    every comb linewidth in the domain of
     :func:`ringlock.comb.comb_closed`: the comb's beta, and the closed
     loop's beta_floor, which with the cap at 30 bounds every stage's beta.
     """
@@ -557,33 +561,47 @@ def _rhs(drive: IntensityDrive, mech: MechParams,
                     heat * (1.0 + ka1 * x + ka2 * x * x) - kap * t_r)
         return comb_rhs
 
-    # closed_loop: phase and linewidth slaved to the mirror motion
-    offset = -math.pi if ka1 > 0.0 else 0.0
-    coupling, t_n = drive.coupling, drive.t_n
+    # closed_loop: phase and linewidth slaved to the mirror motion.  With
+    # psi = atan2(-vn, xc), cos(psi) = xc/amp, so the comb's
+    # 2 sin^2((psi + offset)/2) is s2 = 1 + y/amp for y = -xc (blue,
+    # offset 0) or y = xc (red, offset -pi), and the heating is
+    #     L0 A_H0 sinh(beta) / (2 sinh^2(beta/2) + s2).
+    # For y < 0, s2 = (vn/amp) (vn/(amp - y)) avoids the cancellation.
+    # The denominator is at least 2 sinh^2(beta_floor/2) > 0.  beta =
+    # t_n/(2 mu_M) falls with the amplitude, so the floor and the flat cap
+    # are amplitude bounds, each inf under a coupling of 0 (a flat comb).
+    sign = 1.0 if ka1 > 0.0 else -1.0
+    coupling, half_tn = drive.coupling, 0.5 * drive.t_n
     beta_floor = drive.beta_floor
+    amp_floor, amp_flat = ((half_tn / coupling / beta_floor,
+                            half_tn / coupling / _BETA_FLAT)
+                           if coupling > 0.0 else (math.inf, math.inf))
     sinh_floor, sh2_floor = closed_factors(min(beta_floor, _BETA_FLAT))
     sinh_flat, sh2_flat = closed_factors(_BETA_FLAT)
+    num_floor, den_floor = l0a * sinh_floor, 2.0 * sh2_floor
+    num_flat, den_flat = l0a * sinh_flat, 2.0 * sh2_flat
+    # at amp = 0 the law takes psi = 0, so s2 = 0 (blue) or 2 (red), and
+    # the flat comb
+    heat_rest = num_flat / (den_flat + (2.0 if ka1 > 0.0 else 0.0))
 
     def closed_loop_rhs(t, x, v, t_r):
         w = w0 + theta_ph * t_r
         xc = x - fh_per_m * t_r / (w * w)
         vn = v / w0
         amp = hypot(xc, vn)
-        psi = atan2(-vn, xc) if amp > 0.0 else 0.0
-        mu_m = coupling * amp
-        if mu_m > 0.0:
-            beta = t_n / (2.0 * mu_m)
-            if not beta > beta_floor:
-                sinh_b, sh2 = sinh_floor, sh2_floor
-            elif _BETA_FLAT < beta:
-                sinh_b, sh2 = sinh_flat, sh2_flat
-            else:   # closed_factors(beta), inline to save a call
+        if amp > 0.0:
+            y = sign * xc
+            s2 = 1.0 + y / amp if y >= 0.0 else vn / amp * (vn / (amp - y))
+            if amp >= amp_floor:
+                heat = num_floor / (den_floor + s2)
+            elif amp <= amp_flat:
+                heat = num_flat / (den_flat + s2)
+            else:
+                beta = half_tn / (coupling * amp)
                 sh = sinh(0.5 * beta)
-                sinh_b, sh2 = sinh(beta), sh * sh
+                heat = l0a * sinh(beta) / (2.0 * sh * sh + s2)
         else:
-            sinh_b, sh2 = sinh_flat, sh2_flat
-        sn = sin(0.5 * (psi + offset))
-        heat = l0a * (sinh_b / (2.0 * (sh2 + sn * sn)))
+            heat = heat_rest
         return (v,
                 m2g * v - w * w * x + fh_per_m * t_r,
                 heat * (1.0 + ka1 * x + ka2 * x * x) - kap * t_r)
@@ -598,7 +616,10 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
     The step must resolve the mechanical period: dt <= 2 pi/(50 w_m).  The
     returned trajectory is decimated by ``store_every``.  Each drive mode
     has one fused right-hand side, built once per run with the drive law
-    inline; :func:`drive_intensity` is the reference for that law.
+    inline; :func:`drive_intensity` is the reference for that law.  The
+    step's constants are taken once, each the value its plain expression
+    rounds to, and the halt test reads the state's sum first and each
+    component only when that sum is not finite or a bound is crossed.
 
     Above an instability threshold the linear growth is unbounded; the run
     halts with :class:`InstabilityError`, at the end time of the step that
@@ -629,30 +650,38 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
     time[0], xa[0], va[0], ta[0] = 0.0, x0, v0, 0.0
     j = 1
 
+    # the step's constants, as the plain expressions round them
+    half, sixth = 0.5 * dt, dt / 6.0
+    t1 = 0.0
     for i in range(1, n_steps + 1):
-        a1, b1, c1 = rhs((i - 1) * dt, x, v, t_r)
-        a2, b2, c2 = rhs((i - 0.5) * dt, x + 0.5 * dt * a1,
-                         v + 0.5 * dt * b1, t_r + 0.5 * dt * c1)
-        a3, b3, c3 = rhs((i - 0.5) * dt, x + 0.5 * dt * a2,
-                         v + 0.5 * dt * b2, t_r + 0.5 * dt * c2)
-        a4, b4, c4 = rhs(i * dt, x + dt * a3, v + dt * b3, t_r + dt * c3)
-        x += dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        v += dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        t_r += dt / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        t0, t_mid, t1 = t1, (i - 0.5) * dt, i * dt
+        a1, b1, c1 = rhs(t0, x, v, t_r)
+        a2, b2, c2 = rhs(t_mid, x + half * a1, v + half * b1,
+                         t_r + half * c1)
+        a3, b3, c3 = rhs(t_mid, x + half * a2, v + half * b2,
+                         t_r + half * c2)
+        a4, b4, c4 = rhs(t1, x + dt * a3, v + dt * b3, t_r + dt * c3)
+        x += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        v += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        t_r += sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
 
-        bad = not (math.isfinite(x) and math.isfinite(v)
-                   and math.isfinite(t_r))
-        if bad or abs(x) > x_limit or w0 + theta_ph * t_r <= 0.0:
-            if bad or abs(x) > x_limit:
-                reason = "integration left the linear-absorption domain"
-            else:
-                reason = ("the thermal frequency omega_m + theta_ph*T_R "
-                          "reached zero")
-            raise InstabilityError(
-                f"{reason} at t = {i * dt:.6g} s", t=i * dt,
-                trajectory=MirrorTrajectory(time[:j], xa[:j], va[:j], ta[:j]))
+        # a finite sum has finite terms; one that overflows falls through
+        # to the full test
+        if not (isfinite(x + v + t_r) and -x_limit <= x <= x_limit
+                and w0 + theta_ph * t_r > 0.0):
+            bad = not (isfinite(x) and isfinite(v) and isfinite(t_r))
+            if bad or abs(x) > x_limit or w0 + theta_ph * t_r <= 0.0:
+                if bad or abs(x) > x_limit:
+                    reason = "integration left the linear-absorption domain"
+                else:
+                    reason = ("the thermal frequency omega_m + theta_ph*T_R "
+                              "reached zero")
+                raise InstabilityError(
+                    f"{reason} at t = {i * dt:.6g} s", t=i * dt,
+                    trajectory=MirrorTrajectory(time[:j], xa[:j], va[:j],
+                                                ta[:j]))
         if i % store_every == 0:
-            time[j], xa[j], va[j], ta[j] = i * dt, x, v, t_r
+            time[j], xa[j], va[j], ta[j] = t1, x, v, t_r
             j += 1
 
     return MirrorTrajectory(time[:j], xa[:j], va[:j], ta[:j])

@@ -499,6 +499,10 @@ class TestMainEntry:
                     LATTICE_PARAMS, n_modes=2, max_lag=1)}, "n_modes"),
                 ("lag.json", {"experiment": "lattice", "parameters": dict(
                     LATTICE_PARAMS, max_lag=9, n_modes=8)}, "max_lag"),
+                ("one_sample.json", {"experiment": "lattice",
+                                     "parameters": dict(
+                                         LATTICE_PARAMS, n_modes=8,
+                                         n_steps=40)}, "sample_every"),
                 ("pulse.json", {"experiment": "pulse", "parameters": {
                     "g_m_re": 1.5, "n": 10}}, "|g_m|"),
                 ("comb.json", {"experiment": "comb", "parameters": {

@@ -279,6 +279,21 @@ class TestSimulate:
         assert f"at t = {t:.6g} s" in str(err.value)
         assert t < 1.0
 
+    def test_finite_state_whose_sum_overflows_runs_on(self):
+        # a finite state near the float maximum whose x + v overflows is
+        # inside the domain (k_A1 = 0: no displacement limit), so the run
+        # goes on: the halt test reads each component, not their sum
+        omega_m = 0.15   # keeps every RK4 stage sum of v and of w^2 x finite
+        mech = MechParams(m_m=1.0, omega_m=omega_m, gamma_m=0.0,
+                          theta_ph=0.0, theta_fh=0.0, kappa_m=1.0)
+        dt = 2 * np.pi / (500 * omega_m)
+        traj = simulate(mech, AbsorptionModel(1.0, 0.0),
+                        IntensityDrive.cw(0.0), x0=1.785e308, v0=0.0,
+                        t_end=1000 * dt, dt=dt)
+        assert traj.time.size == 1001
+        assert any(math.isinf(x + v)
+                   for x, v in zip(traj.x.tolist(), traj.v.tolist()))
+
     def test_halts_when_thermal_frequency_reaches_zero(self):
         # with Theta_PH < 0 the heating pulses drive w = omega_m
         # + Theta_PH T_R down to zero, where the restoring force vanishes
@@ -328,6 +343,7 @@ class TestSimulateReference:
     @pytest.mark.parametrize("mode,theta_ph", [
         ("closed_loop", 0.0), ("closed_loop", -2e3),
         ("closed_loop_mid_beta", -2e3), ("closed_loop_at_rest", -2e3),
+        ("closed_loop_red", -2e3), ("closed_loop_no_coupling", -2e3),
         ("cw", -2e3), ("comb", -2e3)])
     def test_matches_si_rk4(self, mode, theta_ph):
         # simulate()'s fused RK4 against engine.rk4_step over
@@ -336,12 +352,15 @@ class TestSimulateReference:
         # The closed loop's beta = t_n/(2 mu_M) sits at beta_floor for a
         # coupling of 1e4 omega_m |k_A1| and near 0.5, between the floor and
         # the flat cap 30, for omega_m |k_A1|; a start at rest has amplitude
-        # 0, so beta = 30 and psi = 0 at the first stage
+        # 0, so beta = 30 and psi = 0 at the first stage.  Red detuning
+        # (k_A1 > 0) puts the pulse peak at psi = pi, and a coupling of 0
+        # keeps the flat comb at the mirror's own phase
         omega_m = 2 * np.pi * 4e5
         mech = MechParams(m_m=1e-12, omega_m=omega_m, gamma_m=0.05 * omega_m,
                           theta_ph=theta_ph, theta_fh=-1e-9,
                           kappa_m=0.01 * omega_m)
-        absorption = AbsorptionModel(1e5, -1e4, 3e6)
+        k_a1 = 1e4 if mode == "closed_loop_red" else -1e4
+        absorption = AbsorptionModel(1e5, k_a1, 3e6)
         t_n = 0.01 * omega_m
         a0 = t_n / (omega_m * abs(absorption.k_a1))
         l0 = 50.0   # T_R ~ 45 K in 4 cycles: a 3-4% thermal frequency shift
@@ -354,6 +373,9 @@ class TestSimulateReference:
                 l0, omega_m * abs(absorption.k_a1), beta_floor=0.05,
                 t_n=t_n),
             "closed_loop_at_rest": locked,
+            "closed_loop_red": locked,
+            "closed_loop_no_coupling": IntensityDrive.closed_loop(
+                l0, 0.0, beta_floor=0.05, t_n=t_n),
             "cw": IntensityDrive.cw(l0),
             "comb": IntensityDrive.comb(l0, beta=0.4,
                                         omega_pulse=0.31 * omega_m),
@@ -757,6 +779,46 @@ class TestClosedLoopDrive:
         # tiny amplitude: effectively flat at L0
         tiny = drive_intensity(drive, mech, absorption, 0.0, 1e-12, 0.0, 0.0)
         assert tiny == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("k_a1", [-1e4, 1e4])
+    def test_fused_law_matches_reference_pointwise(self, k_a1):
+        # simulate()'s closed-loop right-hand side against drive_intensity
+        # times A_H(x): the floor, mid-beta and flat linewidths, a coupling
+        # of 0, and amplitude 0, at phases around the circle and 1e-9 and
+        # 1e-5 rad from the trough and from the pulse peak (psi = 0 blue, pi
+        # red), where 1 - cos(psi + offset) cancels.  kappa_m T_R is 1e-3 of
+        # L0 A_H0, so T_R' itself has no cancellation
+        omega_m = 2 * np.pi * 4e5
+        mech = MechParams(m_m=1e-12, omega_m=omega_m, gamma_m=0.05 * omega_m,
+                          theta_ph=-2e3, theta_fh=-1e-9,
+                          kappa_m=0.01 * omega_m)
+        absorption = AbsorptionModel(1e5, k_a1, 3e6)
+        t_n = 0.01 * omega_m
+        a0 = t_n / (omega_m * abs(k_a1))
+        l0 = 50.0
+        t_r = 1e-3 * l0 * absorption.a_h0 / mech.kappa_m
+        w = mech.omega_m + mech.theta_ph * t_r
+        x_eq = mech.theta_fh / mech.m_m * t_r / (w * w)
+        phases = np.concatenate([np.linspace(-np.pi, np.pi, 25),
+                                 [d for e in (1e-9, 1e-5)
+                                  for d in (e, -e, np.pi - e, e - np.pi)]])
+        cases = [   # (coupling, amplitude): floor, mid-beta, flat beta
+            (1e4 * omega_m * abs(k_a1), a0), (omega_m * abs(k_a1), a0),
+            (omega_m * abs(k_a1), 1e-4 * a0), (0.0, a0)]
+        worst = 0.0
+        for coupling, amp in cases:
+            drive = IntensityDrive.closed_loop(l0, coupling, beta_floor=0.05,
+                                               t_n=t_n)
+            rhs = thermomech._rhs(drive, mech, absorption)
+            states = [(x_eq + amp * np.cos(p), -omega_m * amp * np.sin(p))
+                      for p in phases] + [(x_eq, 0.0)]
+            for x, v in states:
+                want = drive_intensity(drive, mech, absorption, 0.0, x, v,
+                                       t_r) * absorption.value(x) \
+                    - mech.kappa_m * t_r
+                got = rhs(0.0, x, v, t_r)[2]
+                worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= 1e-14
 
     def test_drive_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@
         --label NAME --seeds 1501-1510 --work DIR
 
 Each revision is exported with ``git archive`` into ``DIR/<side>`` and run
-from there, so uncommitted files play no part.  Three records are written to
+from there, so uncommitted files play no part.  Four records are written to
 ``BENCH_<label>.json`` at the repository root:
 
 - ``pairs``: for every seed and workload, ``bench/run.py --trace 0`` once on
@@ -15,6 +15,13 @@ from there, so uncommitted files play no part.  Three records are written to
   pairs the change wins and the gap between the medians.
 - ``traced_mml_search``: one ``--trace 1`` run of ``mml-search`` per side,
   with the per-operation medians of the threshold search's layers.
+- ``kernels``: ``thermomech.simulate``'s microseconds per step in each
+  drive mode (``cw``, ``comb``, ``closed_loop``; 8000 steps each) and
+  ``lattice._block_means``'s milliseconds per 200 x 64 block, the block
+  of the ``lattice-chain`` workload.  Each repeat runs one fresh process
+  per side, the side that runs first alternating, and each kernel gets
+  its quartiles over the repeats on each side.  No workload runs the CW
+  or comb step, which shares the RK4 loop with the closed loop.
 - ``byte_identity``: the ``seo``/``mml`` threshold configs below and one
   config of every other experiment, run through ``ringlock.cli.main`` on
   both sides.  Tables must match byte for byte, and manifests once
@@ -81,6 +88,49 @@ OTHER_CONFIGS = [
         "l_r": 553.88, "n_eff": 1.47, "omega_p": 2 * np.pi * 193.4e12,
         "omega_m": 2 * np.pi * 368.2e3}}],
 ]
+
+# the kernels' inputs: the CW and comb drives at half the SEO threshold of
+# SEO_BASE (the comb off resonance, at 0.31 omega_m), and the closed loop at
+# 0.9 times the MML threshold of mml-search seed 901 op 0, from its probe's
+# seed amplitude; none of them halts within KERNEL_STEPS
+KERNEL_STEPS = 8000
+# times each kernel once in the checkout on sys.path and prints one JSON
+# line: simulate's microseconds per step in each drive mode, and
+# _block_means's milliseconds per 200 x 64 block (mean of 20 calls)
+KERNEL_DRIVER = """
+import json, math, sys, time
+import numpy as np
+from ringlock import lattice, thermomech as tm
+steps, seo, mml = json.loads(sys.argv[1])
+
+def us_per_step(p, drive_of, x0):
+    mech = tm.MechParams(p["m_m"], p["omega_m"], p["gamma_m"],
+                         p["theta_ph"], p["theta_fh"], p["kappa_m"])
+    absorption = tm.AbsorptionModel(p["a_h0"], p["k_a1"])
+    dt = 2 * math.pi / (p["steps_per_cycle"] * p["omega_m"])
+    drive = drive_of(mech, absorption)
+    start = time.perf_counter()
+    tm.simulate(mech, absorption, drive, x0, 0.0, steps * dt, dt, 10)
+    return (time.perf_counter() - start) / steps * 1e6
+
+half_seo = lambda m, a: 0.5 * tm.seo_threshold(m, a)
+out = {
+    "cw": us_per_step(seo, lambda m, a: tm.IntensityDrive.cw(
+        half_seo(m, a)), seo["x0"]),
+    "comb": us_per_step(seo, lambda m, a: tm.IntensityDrive.comb(
+        half_seo(m, a), 0.4, 0.31 * seo["omega_m"]), seo["x0"]),
+    "closed_loop": us_per_step(mml, lambda m, a: tm.IntensityDrive.closed_loop(
+        0.9 * tm.mml_threshold(m, a, mml["t_n"]), mml["coupling"],
+        mml["beta_floor"], mml["t_n"]),
+        mml["t_n"] / (mml["omega_m"] * abs(mml["k_a1"]))),
+}
+block = np.cumsum(np.random.default_rng(0).normal(0.0, 0.3, (200, 64)), axis=1)
+start = time.perf_counter()
+for _ in range(20):
+    lattice._block_means(block, 1.0, 10, False)
+out["block_means"] = (time.perf_counter() - start) / 20 * 1e3
+print(json.dumps(out))
+"""
 
 # runs every config of a JSON list through the CLI of the checkout on
 # sys.path; each config's outputs go to out/<name>
@@ -181,6 +231,36 @@ def traced(work, seed, seconds):
         record[side] = {k: result["metrics"][k]["value"] for k in TRACED}
         correct.append(result["correct"])
     record["correct"] = correct
+    return record
+
+
+def kernels(work, repeats):
+    """Per-kernel quartiles on each side over ``repeats`` interleaved
+    fresh processes, and each median's ratio change/parent."""
+    sys.path.insert(0, str(work / "change" / "bench"))
+    from workloads import make_config
+    inputs = json.dumps([KERNEL_STEPS, SEO_BASE,
+                         make_config("mml-search", 901, 0)["parameters"]])
+    runs = {side: [] for side in SIDES}
+    for r in range(repeats):
+        for side in (SIDES if r % 2 else SIDES[::-1]):
+            env = dict(os.environ, PYTHONPATH=str(work / side / "src"))
+            out = subprocess.run([sys.executable, "-c", KERNEL_DRIVER, inputs],
+                                 env=env, check=True, capture_output=True,
+                                 text=True).stdout
+            runs[side].append(json.loads(out))
+    record = {"protocol": f"{repeats} repeats; each runs one process per "
+                          "side, the side that runs first alternating",
+              "units": {"cw": "us/step", "comb": "us/step",
+                        "closed_loop": "us/step", "block_means": "ms/block"},
+              "steps": KERNEL_STEPS}
+    for side in SIDES:
+        record[side] = {k: quartiles([run[k] for run in runs[side]])
+                        for k in runs[side][0]}
+    record["median_ratio"] = {
+        k: round(record["change"][k]["median"]
+                 / record["parent"][k]["median"], 4)
+        for k in record["parent"]}
     return record
 
 
@@ -295,6 +375,8 @@ def main(argv=None):
                         help="first-last, inclusive")
     parser.add_argument("--work", required=True, type=Path,
                         help="an empty or absent scratch directory")
+    parser.add_argument("--kernel-repeats", type=int, default=9,
+                        help="interleaved repeats of the kernel timings")
     args = parser.parse_args(argv)
     first, last = (int(s) for s in args.seeds.split("-"))
     seeds = range(first, last + 1)
@@ -323,6 +405,8 @@ def main(argv=None):
     }
     log("byte identity")
     record["byte_identity"] = byte_identity(args.work)
+    log("kernels")
+    record["kernels"] = kernels(args.work, args.kernel_repeats)
     log("traced mml-search")
     record["traced_mml_search"] = traced(args.work, first, seconds)
     record["pairs"] = run_pairs(args.work, seeds, seconds)
