@@ -802,7 +802,8 @@ class TestClosedLoopDrive:
         phases = np.concatenate([np.linspace(-np.pi, np.pi, 25),
                                  [d for e in (1e-9, 1e-5)
                                   for d in (e, -e, np.pi - e, e - np.pi)]])
-        cases = [   # (coupling, amplitude): floor, mid-beta, flat beta
+        # (coupling, amplitude): floor, mid and flat beta, uncoupled
+        cases = [
             (1e4 * omega_m * abs(k_a1), a0), (omega_m * abs(k_a1), a0),
             (omega_m * abs(k_a1), 1e-4 * a0), (0.0, a0)]
         worst = 0.0
