@@ -245,16 +245,9 @@ def _constraint_findings(experiment: str, p: dict) -> list[str]:
     """The library's constraints on a schema-valid config's values, each
     defined once in its module."""
     if experiment == "lattice":
-        findings = lattice.constraint_findings(p["n_modes"], p["mu_m"],
-                                               p["dt"], p["max_lag"])
-        # one sample leaves the batch-means errors NaN, which a manifest
-        # cannot hold as strict JSON
-        if not p["n_steps"] > p["sample_every"]:
-            findings.append(f"n_steps must exceed sample_every: the "
-                            f"batch-means errors need two samples (got "
-                            f"n_steps {p['n_steps']}, sample_every "
-                            f"{p['sample_every']})")
-        return findings
+        return (lattice.constraint_findings(p["n_modes"], p["mu_m"], p["dt"],
+                                            p["max_lag"])
+                + lattice.run_findings(p["n_steps"], p["sample_every"]))
     if experiment == "comb":
         return comb.constraint_findings(p["beta"])
     if experiment == "pulse":

@@ -28,6 +28,7 @@ from .engine import RngStream, normal_draws, require
 
 BOUNDARIES = ("open_chain", "periodic")
 MAX_MU_DT = 0.1     # stability bound of the explicit Euler step
+N_BATCHES = 20      # run_lattice's default number of batch-means blocks
 
 
 def constraint_findings(n_modes: int, mu_m: float, dt: float,
@@ -49,6 +50,29 @@ def constraint_findings(n_modes: int, mu_m: float, dt: float,
     if max_lag is not None and max_lag >= n_modes:
         findings.append(f"max_lag must be smaller than the chain length "
                         f"n_modes (got max_lag {max_lag}, n_modes {n_modes})")
+    return findings
+
+
+def run_findings(n_steps: int, sample_every: int,
+                 n_batches: int = N_BATCHES) -> list[str]:
+    """Violations of :func:`run_lattice`'s sampling constraints; an empty
+    list means valid.
+
+    The batch-means errors need at least two full batches, which the run
+    fills when it takes two samples, ceil(n_steps/sample_every) >= 2
+    (that is, n_steps > sample_every), and splits them into n_batches >= 2
+    batches; fewer leave the errors NaN, which a manifest cannot hold as
+    strict JSON.  :func:`run_lattice` and the CLI's config validation both
+    check these here.  ``sample_every`` must be >= 1.
+    """
+    findings = []
+    if not n_steps > sample_every:
+        findings.append(f"n_steps must exceed sample_every: the batch-means "
+                        f"errors need two samples (got n_steps {n_steps}, "
+                        f"sample_every {sample_every})")
+    if n_batches < 2:
+        findings.append(f"n_batches must be >= 2 for the batch-means errors "
+                        f"(got {n_batches})")
     return findings
 
 
@@ -274,17 +298,17 @@ def phase_correlation(trajectory, k: int) -> complex:
     k = abs(int(k))
     if k >= n_modes:
         raise ValueError("lag k must be smaller than the chain length")
-    return _lag_correlations(thetas, k)[k]
+    return _lag_correlations(thetas, [k])[0]
 
 
-def _lag_correlations(thetas: np.ndarray, max_lag: int) -> list[complex]:
-    """Means of e^{i(theta_{m-k} - theta_m)} for k = 0..max_lag, over the
-    sites (last axis) and the sampled phase vectors (every other axis) of
-    ``thetas``.  z = e^{i theta} is formed once, and lag k is the mean of
-    z_{m-k} conj(z_m); lag 0 is exactly 1."""
+def _lag_correlations(thetas: np.ndarray, lags) -> list[complex]:
+    """Means of e^{i(theta_{m-k} - theta_m)} for each k in ``lags``, over
+    the sites (last axis) and the sampled phase vectors (every other axis)
+    of ``thetas``.  z = e^{i theta} is formed once, and lag k is the mean
+    of z_{m-k} conj(z_m); lag 0 is exactly 1."""
     z = np.exp(1j * thetas)
-    return [1.0 + 0.0j] + [complex((z[..., :-k] * z[..., k:].conj()).mean())
-                           for k in range(1, max_lag + 1)]
+    return [complex((z[..., :-k] * z[..., k:].conj()).mean()) if k
+            else 1.0 + 0.0j for k in lags]
 
 
 def _block_means(block: np.ndarray, mu_m: float, max_lag: int,
@@ -296,7 +320,7 @@ def _block_means(block: np.ndarray, mu_m: float, max_lag: int,
     d1 = _links(block, periodic)
     dw = (d1 + np.pi) % (2.0 * np.pi) - np.pi
     energy = -mu_m * float(np.cos(d1).sum()) / block.shape[0]
-    corr = _lag_correlations(block, max_lag)
+    corr = _lag_correlations(block, range(max_lag + 1))
     return float(np.mean(dw * dw)), energy, corr
 
 
@@ -332,7 +356,7 @@ class LatticeRunStats:
 
 def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
                 sample_every: int = 50, max_lag: int = 10,
-                n_batches: int = 20,
+                n_batches: int = N_BATCHES,
                 record_every: int | None = None) -> LatticeRunStats:
     """Integrate the chain and accumulate steady-state statistics.
 
@@ -360,6 +384,7 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
                                            and record_every < 1):
         raise ValueError("require burn_in >= 0, sample_every >= 1 and "
                          "record_every >= 1")
+    require(run_findings(n_steps, sample_every, n_batches))
     stream = RngStream(config.seed)
     theta = np.zeros(n)
     drift = _drift(theta, config.dt * config.mu_m, periodic)
@@ -405,8 +430,6 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
 
     nb = len(batches)
     count = nb * batch_len + filled
-    if count == 0:
-        raise ValueError("no samples collected; increase n_steps")
     sizes = [batch_len] * nb
     if filled:
         sizes.append(filled)
@@ -414,12 +437,8 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
                                     periodic))
     weights = np.array(sizes) / count
     dsq, energy, corr = (np.array(x) for x in zip(*batches))
-    if nb > 1:
-        dsq_se = float(dsq[:nb].std(ddof=1) / np.sqrt(nb))
-        corr_se = corr[:nb].real.std(axis=0, ddof=1) / np.sqrt(nb)
-    else:
-        dsq_se = float("nan")
-        corr_se = np.full(max_lag + 1, np.nan)
+    dsq_se = float(dsq[:nb].std(ddof=1) / np.sqrt(nb))
+    corr_se = corr[:nb].real.std(axis=0, ddof=1) / np.sqrt(nb)
 
     return LatticeRunStats(
         n_samples=count,

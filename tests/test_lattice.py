@@ -372,6 +372,19 @@ class TestRunLattice:
             with pytest.raises(ValueError):
                 run_lattice(cfg, n_steps=100, **bad)
 
+    def test_sampling_guard(self):
+        # one sample, or one batch, leaves the batch-means errors NaN; two
+        # samples in two batches of one give finite errors
+        cfg = LatticeConfig(n_modes=8, mu_m=1.0, t_n=0.1, dt=5e-3)
+        for bad in ({"n_steps": 40}, {"n_steps": 30},
+                    {"n_steps": 1000, "n_batches": 1}):
+            with pytest.raises(ValueError):
+                run_lattice(cfg, sample_every=40, **bad)
+        stats = run_lattice(cfg, n_steps=41, sample_every=40, max_lag=3)
+        assert stats.n_samples == 2
+        assert np.isfinite(stats.diff_sq_se)
+        assert np.all(np.isfinite(stats.corr_se))
+
     def test_lag_guard(self):
         cfg = LatticeConfig(n_modes=8, mu_m=1.0, t_n=0.1, dt=5e-3)
         with pytest.raises(ValueError):

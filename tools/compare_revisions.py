@@ -94,6 +94,7 @@ OTHER_CONFIGS = [
 # 0.9 times the MML threshold of mml-search seed 901 op 0, from its probe's
 # seed amplitude; none of them halts within KERNEL_STEPS
 KERNEL_STEPS = 8000
+KERNEL_REPEATS = 9      # interleaved repeats of the kernel timings
 # times each kernel once in the checkout on sys.path and prints one JSON
 # line: simulate's microseconds per step in each drive mode, and
 # _block_means's milliseconds per 200 x 64 block (mean of 20 calls)
@@ -234,23 +235,23 @@ def traced(work, seed, seconds):
     return record
 
 
-def kernels(work, repeats):
-    """Per-kernel quartiles on each side over ``repeats`` interleaved
+def kernels(work):
+    """Per-kernel quartiles on each side over KERNEL_REPEATS interleaved
     fresh processes, and each median's ratio change/parent."""
     sys.path.insert(0, str(work / "change" / "bench"))
     from workloads import make_config
     inputs = json.dumps([KERNEL_STEPS, SEO_BASE,
                          make_config("mml-search", 901, 0)["parameters"]])
     runs = {side: [] for side in SIDES}
-    for r in range(repeats):
+    for r in range(KERNEL_REPEATS):
         for side in (SIDES if r % 2 else SIDES[::-1]):
             env = dict(os.environ, PYTHONPATH=str(work / side / "src"))
             out = subprocess.run([sys.executable, "-c", KERNEL_DRIVER, inputs],
                                  env=env, check=True, capture_output=True,
                                  text=True).stdout
             runs[side].append(json.loads(out))
-    record = {"protocol": f"{repeats} repeats; each runs one process per "
-                          "side, the side that runs first alternating",
+    record = {"protocol": f"{KERNEL_REPEATS} repeats; each runs one process "
+                          "per side, the side that runs first alternating",
               "units": {"cw": "us/step", "comb": "us/step",
                         "closed_loop": "us/step", "block_means": "ms/block"},
               "steps": KERNEL_STEPS}
@@ -375,8 +376,6 @@ def main(argv=None):
                         help="first-last, inclusive")
     parser.add_argument("--work", required=True, type=Path,
                         help="an empty or absent scratch directory")
-    parser.add_argument("--kernel-repeats", type=int, default=9,
-                        help="interleaved repeats of the kernel timings")
     args = parser.parse_args(argv)
     first, last = (int(s) for s in args.seeds.split("-"))
     seeds = range(first, last + 1)
@@ -406,7 +405,7 @@ def main(argv=None):
     log("byte identity")
     record["byte_identity"] = byte_identity(args.work)
     log("kernels")
-    record["kernels"] = kernels(args.work, args.kernel_repeats)
+    record["kernels"] = kernels(args.work)
     log("traced mml-search")
     record["traced_mml_search"] = traced(args.work, first, seconds)
     record["pairs"] = run_pairs(args.work, seeds, seconds)
