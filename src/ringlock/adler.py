@@ -172,17 +172,10 @@ class SpectrumMap:
     i_b: np.ndarray                  # normalized bias at each grid point
     freqs: np.ndarray                # Hz
     psd: np.ndarray                  # (n_freqs, n_v) power density
-    sample_rate: float
     resolution: float                # Hz per bin
     segments: int
     params: AdlerParams
     warnings: tuple = field(default_factory=tuple)
-
-
-def _default_segment_len(n_t: int) -> int:
-    """Welch segment length of :func:`pd_spectrum_sweep`: about an eighth
-    of the signal, rounded down to a power of two, and at least 4."""
-    return 2 ** int(np.floor(np.log2(max(n_t // 8, 4))))
 
 
 def constraint_findings(omega_am: float, omega_r: float, duration: float,
@@ -211,10 +204,12 @@ def _detuning_findings(omega_am: float, omega_r: float) -> list[str]:
 
 def _signal_shape(duration: float, sample_rate: float,
                   segment_len: int | None):
-    """(samples, Welch segment length) of a sweep's detector signal."""
+    """(samples, Welch segment length) of a sweep's detector signal; the
+    default length is about an eighth of the signal, rounded down to a
+    power of two, and at least 4."""
     n_t = int(duration * sample_rate)
     if segment_len is None:
-        segment_len = _default_segment_len(n_t)
+        segment_len = 2 ** int(np.floor(np.log2(max(n_t // 8, 4))))
     return n_t, segment_len
 
 
@@ -275,9 +270,8 @@ def pd_spectrum_sweep(params_base: AdlerParams, v_am_grid,
 
     return SpectrumMap(
         v_am_grid=v_am_grid, i_b=i_b_vals, freqs=freqs,
-        psd=np.column_stack(psd_cols), sample_rate=sample_rate,
-        resolution=sample_rate / segment_len, segments=segments,
-        params=params_base, warnings=tuple(notes))
+        psd=np.column_stack(psd_cols), resolution=sample_rate / segment_len,
+        segments=segments, params=params_base, warnings=tuple(notes))
 
 
 def sideband_amplitudes(spectrum: SpectrumResult, carrier_freq: float,

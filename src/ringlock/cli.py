@@ -162,8 +162,8 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     """Return all schema violations; an empty list means valid.
 
     A config that meets the schema is also checked against the library's
-    own constraints (:func:`_constraint_findings`), so every input the run
-    would reject fails here.
+    own constraints (the findings of its ``_EXPERIMENTS`` entry), so every
+    input the run would reject fails here.
     """
     return _parse(config)[1]
 
@@ -237,38 +237,9 @@ def _parse(config: ExperimentConfig) -> tuple[dict, list[str]]:
             findings.append(f"{key} must be nonnegative")
         values[key] = spec.kind(raw)
     if not findings:
-        findings = _constraint_findings(config.experiment, values)
+        check, _ = _EXPERIMENTS[config.experiment]
+        findings = check(values)
     return values, findings
-
-
-def _constraint_findings(experiment: str, p: dict) -> list[str]:
-    """The library's constraints on a schema-valid config's values, each
-    defined once in its module."""
-    if experiment == "lattice":
-        return (lattice.constraint_findings(p["n_modes"], p["mu_m"], p["dt"],
-                                            p["max_lag"])
-                + lattice.run_findings(p["n_steps"], p["sample_every"]))
-    if experiment == "comb":
-        return comb.constraint_findings(p["beta"])
-    if experiment == "pulse":
-        return pulses.constraint_findings(complex(p["g_m_re"], p["g_m_im"]))
-    if experiment == "adler":
-        return adler.constraint_findings(p["omega_am"], p["omega_r"],
-                                         p["duration"], p["sample_rate"])
-    if experiment == "noise":
-        return thermomech.noise_constraint_findings(p["g_oa"], p["n_pi"])
-    findings = thermomech.mech_constraint_findings(
-        p["m_m"], p["omega_m"], p["gamma_m"], p["kappa_m"])
-    t_end, dt = _threshold_times(p)
-    findings += thermomech.step_constraint_findings(dt, p["omega_m"])
-    findings += thermomech.probe_constraint_findings(
-        "closed_loop" if experiment == "mml" else "cw", p["x0"], t_end, dt,
-        p["store_every"], p["kappa_m"])
-    if p["search"]:
-        findings += thermomech.search_constraint_findings(p["search_rtol"])
-    if experiment == "mml":
-        findings += comb.constraint_findings(p["beta_floor"], "beta_floor")
-    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +398,15 @@ def _threshold_times(p):
             2.0 * np.pi / (p["steps_per_cycle"] * p["omega_m"]))
 
 
-def _run_threshold_experiment(p, manifest, out_dir):
+def _run_threshold(p, manifest, out_dir):
     mml = manifest.experiment == "mml"
     mech = thermomech.MechParams(
         m_m=p["m_m"], omega_m=p["omega_m"], gamma_m=p["gamma_m"],
         theta_ph=p["theta_ph"], theta_fh=p["theta_fh"], kappa_m=p["kappa_m"])
     absorption = thermomech.AbsorptionModel(
         a_h0=p["a_h0"], k_a1=p["k_a1"], k_a2=p["k_a2"])
-    if mml:
-        l_star = thermomech.mml_threshold(mech, absorption, p["t_n"])
-    else:
-        l_star = thermomech.seo_threshold(mech, absorption)
+    l_star = thermomech.mml_threshold(mech, absorption, p["t_n"]) if mml \
+        else thermomech.seo_threshold(mech, absorption)
     manifest.derived["threshold_formula"] = l_star
     if mml and np.isfinite(l_star):
         seo_opposite = thermomech.seo_threshold(
@@ -528,14 +497,40 @@ def _run_noise(p, manifest, out_dir):
     manifest.derived.update(dict(zip(names, values)))
 
 
-_HANDLERS = {
-    "comb": _run_comb,
-    "lattice": _run_lattice,
-    "pulse": _run_pulse,
-    "adler": _run_adler,
-    "seo": _run_threshold_experiment,
-    "mml": _run_threshold_experiment,
-    "noise": _run_noise,
+def _threshold_findings(p: dict, mode: str) -> list[str]:
+    """The library's constraints on a seo (``mode`` "cw") or mml
+    ("closed_loop") config: the mirror, the step, the growth probe, the
+    search when it runs, and the mml drive's beta_floor."""
+    findings = thermomech.mech_constraint_findings(
+        p["m_m"], p["omega_m"], p["gamma_m"], p["kappa_m"])
+    t_end, dt = _threshold_times(p)
+    findings += thermomech.step_constraint_findings(dt, p["omega_m"])
+    findings += thermomech.probe_constraint_findings(
+        mode, p["x0"], t_end, dt, p["store_every"], p["kappa_m"])
+    if p["search"]:
+        findings += thermomech.search_constraint_findings(p["search_rtol"])
+    if mode == "closed_loop":
+        findings += comb.constraint_findings(p["beta_floor"], "beta_floor")
+    return findings
+
+
+# experiment -> (the library's constraints on a schema-valid config's
+# values, each defined once in its module; the handler that runs it)
+_EXPERIMENTS = {
+    "comb": (lambda p: comb.constraint_findings(p["beta"]), _run_comb),
+    "lattice": (lambda p: lattice.constraint_findings(
+        p["n_modes"], p["mu_m"], p["dt"]) + lattice.run_findings(
+        p["n_modes"], p["n_steps"], p["sample_every"], p["max_lag"]),
+        _run_lattice),
+    "pulse": (lambda p: pulses.constraint_findings(
+        complex(p["g_m_re"], p["g_m_im"])), _run_pulse),
+    "adler": (lambda p: adler.constraint_findings(
+        p["omega_am"], p["omega_r"], p["duration"], p["sample_rate"]),
+        _run_adler),
+    "seo": (lambda p: _threshold_findings(p, "cw"), _run_threshold),
+    "mml": (lambda p: _threshold_findings(p, "closed_loop"), _run_threshold),
+    "noise": (lambda p: thermomech.noise_constraint_findings(
+        p["g_oa"], p["n_pi"]), _run_noise),
 }
 
 
@@ -553,7 +548,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
         seed=config.seed)
-    _HANDLERS[config.experiment](values, manifest, out_dir)
+    _, run = _EXPERIMENTS[config.experiment]
+    run(values, manifest, out_dir)
     _write_atomic(out_dir / f"{config.experiment}_manifest.json",
                   manifest.to_json() + "\n")
     return manifest

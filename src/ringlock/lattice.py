@@ -31,15 +31,13 @@ MAX_MU_DT = 0.1     # stability bound of the explicit Euler step
 N_BATCHES = 20      # run_lattice's default number of batch-means blocks
 
 
-def constraint_findings(n_modes: int, mu_m: float, dt: float,
-                        max_lag: int | None = None) -> list[str]:
+def constraint_findings(n_modes: int, mu_m: float, dt: float) -> list[str]:
     """Violations of the chain's constraints beyond the signs of its
     parameters; an empty list means valid.
 
-    The chain needs n_modes >= 3, the explicit Euler step dt*mu_m <= 0.1,
-    and, when ``max_lag`` is given, a correlation lag shorter than the
-    chain.  :class:`LatticeConfig`, :func:`run_lattice` and the CLI's
-    config validation all check these here.
+    The chain needs n_modes >= 3 and the explicit Euler step
+    dt*mu_m <= 0.1.  :class:`LatticeConfig` and the CLI's config
+    validation both check these here.
     """
     findings = []
     if n_modes < 3:
@@ -47,17 +45,15 @@ def constraint_findings(n_modes: int, mu_m: float, dt: float,
     if dt * mu_m > MAX_MU_DT:
         findings.append(f"dt*mu_m must be <= {MAX_MU_DT} for the explicit "
                         f"Euler step (got {dt * mu_m:g})")
-    if max_lag is not None and max_lag >= n_modes:
-        findings.append(f"max_lag must be smaller than the chain length "
-                        f"n_modes (got max_lag {max_lag}, n_modes {n_modes})")
     return findings
 
 
-def run_findings(n_steps: int, sample_every: int,
+def run_findings(n_modes: int, n_steps: int, sample_every: int, max_lag: int,
                  n_batches: int = N_BATCHES) -> list[str]:
-    """Violations of :func:`run_lattice`'s sampling constraints; an empty
-    list means valid.
+    """Violations of :func:`run_lattice`'s constraints on a chain of
+    ``n_modes``; an empty list means valid.
 
+    The correlation lag must be shorter than the chain, max_lag < n_modes.
     The batch-means errors need at least two full batches, which the run
     fills when it takes two samples, ceil(n_steps/sample_every) >= 2
     (that is, n_steps > sample_every), and splits them into n_batches >= 2
@@ -66,6 +62,9 @@ def run_findings(n_steps: int, sample_every: int,
     check these here.  ``sample_every`` must be >= 1.
     """
     findings = []
+    if max_lag >= n_modes:
+        findings.append(f"max_lag must be smaller than the chain length "
+                        f"n_modes (got max_lag {max_lag}, n_modes {n_modes})")
     if not n_steps > sample_every:
         findings.append(f"n_steps must exceed sample_every: the batch-means "
                         f"errors need two samples (got n_steps {n_steps}, "
@@ -379,12 +378,12 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
         burn_in = int(round(10.0 / (config.mu_m * config.dt)))
     n = config.n_modes
     periodic = config.boundary == "periodic"
-    require(constraint_findings(n, config.mu_m, config.dt, max_lag))
     if burn_in < 0 or sample_every < 1 or (record_every is not None
                                            and record_every < 1):
         raise ValueError("require burn_in >= 0, sample_every >= 1 and "
                          "record_every >= 1")
-    require(run_findings(n_steps, sample_every, n_batches))
+    # the chain's own rules hold: LatticeConfig checked them when made
+    require(run_findings(n, n_steps, sample_every, max_lag, n_batches))
     stream = RngStream(config.seed)
     theta = np.zeros(n)
     drift = _drift(theta, config.dt * config.mu_m, periodic)
@@ -392,7 +391,7 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
     noise_block = 4096
 
     n_total = burn_in + n_steps
-    samples_expected = max(1, (n_steps + sample_every - 1) // sample_every)
+    samples_expected = (n_steps + sample_every - 1) // sample_every
     batch_len = max(1, samples_expected // n_batches)
     block = np.empty((batch_len, n))
     filled = 0

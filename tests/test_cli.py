@@ -116,6 +116,12 @@ class TestValidateConfig:
                                                mu_m=1.0), 0, Path("."))
         assert validate_config(cfg) == []
 
+    def test_every_experiment_is_registered_once(self):
+        # each schema has its one entry of findings and handler, and no
+        # entry runs without a schema
+        import ringlock.cli as cli
+        assert set(cli.SCHEMAS) == set(cli._EXPERIMENTS)
+
     def test_valid_config_empty_findings(self):
         cfg = ExperimentConfig("lattice", LATTICE_PARAMS, 0, Path("."))
         assert validate_config(cfg) == []
@@ -627,7 +633,8 @@ class TestMainEntry:
         def ragged(p, manifest, out_dir):
             cli._write_table(manifest, out_dir, "profile", ["a", "b"],
                              [np.zeros(3), np.zeros(2)])
-        monkeypatch.setitem(cli._HANDLERS, "comb", ragged)
+        check, _ = cli._EXPERIMENTS["comb"]
+        monkeypatch.setitem(cli._EXPERIMENTS, "comb", (check, ragged))
         cfg = write_config(tmp_path, {
             "experiment": "comb", "parameters": {"beta": 0.2}})
         out = tmp_path / "out"

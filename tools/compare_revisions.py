@@ -16,12 +16,15 @@ from there, so uncommitted files play no part.  Four records are written to
 - ``traced_mml_search``: one ``--trace 1`` run of ``mml-search`` per side,
   with the per-operation medians of the threshold search's layers.
 - ``kernels``: ``thermomech.simulate``'s microseconds per step in each
-  drive mode (``cw``, ``comb``, ``closed_loop``; 8000 steps each) and
-  ``lattice._block_means``'s milliseconds per 200 x 64 block, the block
-  of the ``lattice-chain`` workload.  Each repeat runs one fresh process
-  per side, the side that runs first alternating, and each kernel gets
-  its quartiles over the repeats on each side.  No workload runs the CW
-  or comb step, which shares the RK4 loop with the closed loop.
+  drive mode (``cw``, ``comb``, ``closed_loop``; 8000 steps each),
+  ``lattice.run_lattice``'s microseconds per step on the ``lattice-chain``
+  chain (20 000 steps after the default burn-in of 10 000, which the
+  count includes) and ``lattice._block_means``'s milliseconds per
+  200 x 64 block, the block of the ``lattice-chain`` workload.  Each
+  repeat runs one fresh process per side, the side that runs first
+  alternating, and each kernel gets its quartiles over the repeats on
+  each side.  No workload runs the CW or comb step, which shares the RK4
+  loop with the closed loop.
 - ``byte_identity``: the ``seo``/``mml`` threshold configs below and one
   config of every other experiment, run through ``ringlock.cli.main`` on
   both sides.  Tables must match byte for byte, and manifests once
@@ -67,7 +70,10 @@ SEO_BASE = {
     "n_cycles": 300, "steps_per_cycle": 50, "store_every": 10,
 }
 L0_FACTORS = (0.5, 0.7, 0.95, 1.0, 1.05, 1.3, 2.0)
-THETA_PH = (0.0, -2e3)
+# a Theta_PH whose steady thermal shift reaches -omega_m below L*: its
+# probes halt on the thermal-frequency guard within a stored row or two and
+# carry the domain_note, so one config per experiment (at L*) is run at it
+HALTING_THETA_PH = -2e3
 # one config of each experiment the threshold configs leave out (the open
 # chain's and adler's come from bench/workloads.py), and a periodic chain
 # with a burn-in and a stored trajectory; at beta = 0.2 numpy's sinh and
@@ -94,15 +100,17 @@ OTHER_CONFIGS = [
 # 0.9 times the MML threshold of mml-search seed 901 op 0, from its probe's
 # seed amplitude; none of them halts within KERNEL_STEPS
 KERNEL_STEPS = 8000
+LATTICE_KERNEL_STEPS = 20_000   # run_lattice's n_steps, after its burn-in
 KERNEL_REPEATS = 9      # interleaved repeats of the kernel timings
 # times each kernel once in the checkout on sys.path and prints one JSON
-# line: simulate's microseconds per step in each drive mode, and
-# _block_means's milliseconds per 200 x 64 block (mean of 20 calls)
+# line: simulate's microseconds per step in each drive mode, run_lattice's
+# microseconds per step (burn-in included), and _block_means's
+# milliseconds per 200 x 64 block (mean of 20 calls)
 KERNEL_DRIVER = """
 import json, math, sys, time
 import numpy as np
 from ringlock import lattice, thermomech as tm
-steps, seo, mml = json.loads(sys.argv[1])
+steps, seo, mml, chain, chain_steps = json.loads(sys.argv[1])
 
 def us_per_step(p, drive_of, x0):
     mech = tm.MechParams(p["m_m"], p["omega_m"], p["gamma_m"],
@@ -125,6 +133,12 @@ out = {
         mml["beta_floor"], mml["t_n"]),
         mml["t_n"] / (mml["omega_m"] * abs(mml["k_a1"]))),
 }
+config = lattice.LatticeConfig(chain["n_modes"], chain["mu_m"], chain["t_n"],
+                               chain["dt"])
+start = time.perf_counter()
+stats = lattice.run_lattice(config, chain_steps)
+out["run_lattice"] = (time.perf_counter() - start) \
+    / round(stats.final_state.time / config.dt) * 1e6
 block = np.cumsum(np.random.default_rng(0).normal(0.0, 0.3, (200, 64)), axis=1)
 start = time.perf_counter()
 for _ in range(20):
@@ -239,9 +253,10 @@ def kernels(work):
     """Per-kernel quartiles on each side over KERNEL_REPEATS interleaved
     fresh processes, and each median's ratio change/parent."""
     sys.path.insert(0, str(work / "change" / "bench"))
-    from workloads import make_config
+    from workloads import LATTICE_BASE, make_config
     inputs = json.dumps([KERNEL_STEPS, SEO_BASE,
-                         make_config("mml-search", 901, 0)["parameters"]])
+                         make_config("mml-search", 901, 0)["parameters"],
+                         LATTICE_BASE, LATTICE_KERNEL_STEPS])
     runs = {side: [] for side in SIDES}
     for r in range(KERNEL_REPEATS):
         for side in (SIDES if r % 2 else SIDES[::-1]):
@@ -253,8 +268,10 @@ def kernels(work):
     record = {"protocol": f"{KERNEL_REPEATS} repeats; each runs one process "
                           "per side, the side that runs first alternating",
               "units": {"cw": "us/step", "comb": "us/step",
-                        "closed_loop": "us/step", "block_means": "ms/block"},
-              "steps": KERNEL_STEPS}
+                        "closed_loop": "us/step", "run_lattice": "us/step",
+                        "block_means": "ms/block"},
+              "steps": KERNEL_STEPS,
+              "run_lattice_steps": LATTICE_KERNEL_STEPS}
     for side in SIDES:
         record[side] = {k: quartiles([run[k] for run in runs[side]])
                         for k in runs[side][0]}
@@ -267,16 +284,23 @@ def kernels(work):
 
 def identity_configs(work):
     sys.path.insert(0, str(work / "change" / "bench"))
+    from checks import mml_threshold, seo_threshold
     from workloads import make_config
     mml = make_config("mml-search", 901, 0)["parameters"]
     configs = []
-    for kind, base in (("seo", SEO_BASE), ("mml", mml)):
-        for factor in L0_FACTORS:
-            for theta_ph in THETA_PH:
-                params = dict(base, l0_factor=factor, theta_ph=theta_ph)
-                configs.append([f"{kind}_l{factor:g}_t{theta_ph:g}",
-                                {"experiment": kind, "seed": 0,
-                                 "parameters": params}])
+    for kind, base, threshold in (("seo", SEO_BASE, seo_threshold),
+                                  ("mml", mml, mml_threshold)):
+        # the Theta_PH whose steady thermal shift Theta_PH*L0*A_H0/kappa_m
+        # is -0.1 omega_m at 2 L*: its probes run the whole law, unhalted
+        # by the thermal-frequency guard
+        small = -0.1 * base["omega_m"] * base["kappa_m"] \
+            / (2.0 * threshold(base) * base["a_h0"])
+        grid = [(f, t) for f in L0_FACTORS for t in (0.0, small)]
+        for factor, theta_ph in grid + [(1.0, HALTING_THETA_PH)]:
+            params = dict(base, l0_factor=factor, theta_ph=theta_ph)
+            configs.append([f"{kind}_l{factor:g}_t{theta_ph:g}",
+                            {"experiment": kind, "seed": 0,
+                             "parameters": params}])
     configs += [[f"mml-search_4242_{i}", make_config("mml-search", 4242, i)]
                 for i in range(20)]
     configs += [["lattice-chain_901_0", make_config("lattice-chain", 901, 0)],
@@ -357,9 +381,13 @@ def byte_identity(work):
             "configs": "seo (tests/test_cli.py SEO_BASE at 300 cycles x 50 "
                        "steps) and mml (mml-search seed 901 op 0), each at "
                        "l0_factor in {0.5, 0.7, 0.95, 1.0, 1.05, 1.3, 2.0} x "
-                       "theta_ph in {0, -2e3}: 28 configs; mml-search seed "
-                       "4242 ops 0-19; lattice-chain and adler-sweep seed "
-                       "901 op 0; one comb, pulse and noise config; a "
+                       "theta_ph in {0, -0.1 omega_m kappa_m/(2 L* a_h0)} "
+                       "(a steady thermal shift of -0.1 omega_m at 2 L*; "
+                       "-0.398 for seo, -2.911 for mml), and at l0_factor "
+                       "1.0 x theta_ph -2e3 (halts on the thermal-frequency "
+                       "guard, with a domain_note): 30 configs; mml-search "
+                       "seed 4242 ops 0-19; lattice-chain and adler-sweep "
+                       "seed 901 op 0; one comb, pulse and noise config; a "
                        "periodic lattice (N = 16, burn-in 17, every 7th "
                        "step sampled, every 101st recorded)",
             "versions": {side: sorted(v) for side, v in versions.items()},
