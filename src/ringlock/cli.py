@@ -25,7 +25,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -267,7 +266,10 @@ def _cells(col):
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    # a fresh name beside the target, created as open() creates a file,
+    # with mode 0o666 & ~umask (mkstemp's 0600 would survive the replace)
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

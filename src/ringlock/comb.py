@@ -1,18 +1,21 @@
 """The comb function: a periodic train of pulses with exponentially decaying
 Fourier coefficients.
 
-The closed form is
+With the pulse contrast r = exp(-beta), the closed form is
 
-    T_beta(s) = sinh(beta) / (cosh(beta) - cos(s))
+    T_beta(s) = (1 - r^2) / (1 - 2 r cos(s) + r^2)
+              = (1 - r^2) / ((1 - r)^2 + 4 r sin^2(s/2))
               = sum_k exp(i*k*s - |k|*beta),
 
 a strictly positive, 2*pi-periodic pulse train with unit mean and Fourier
-coefficients exp(-|k|*beta).  Since cosh(beta) - cos(s) equals
-2 sinh^2(beta/2) + 2 sin^2(s/2), the closed form is evaluated with no
-cancellation near the peak.  Small beta gives sharp pulses (peak ~ 2/beta),
-large beta a flat profile.  The truncated series doubles as an independent
-oracle for the closed form; the geometric tail bound makes the truncation
-error certifiable.
+coefficients exp(-|k|*beta); it equals sinh(beta)/(cosh(beta) - cos(s)).
+Taking 1 - r as -expm1(-beta) and the denominator as a sum of squares, the
+closed form is evaluated with no cancellation near the peak, and it is
+finite for every beta in [BETA_MIN, inf]: beta = inf is the flat profile,
+r = 0.  Small beta gives sharp pulses (peak ~ 2/beta), large beta a flat
+profile.  The truncated series doubles as an independent oracle for the
+closed form; the geometric tail bound makes the truncation error
+certifiable.
 """
 
 import math
@@ -23,13 +26,11 @@ from .engine import require
 
 # coth(beta/2) overflows float range well before this; keep requests sane
 BETA_MIN = 1e-6
-# sinh(beta) overflows float range just above 710
-BETA_MAX = 700.0
 
 
 def constraint_findings(beta: float, name: str = "beta") -> list[str]:
-    """Violations of the comb's linewidth domain, BETA_MIN <= beta <=
-    BETA_MAX; an empty list means valid.
+    """Violations of the comb's linewidth domain, beta >= BETA_MIN (inf
+    included); an empty list means valid.
 
     ``name`` is the parameter the finding reports, for a linewidth that a
     caller knows by another name or in a context ("closed_loop drive:
@@ -41,38 +42,37 @@ def constraint_findings(beta: float, name: str = "beta") -> list[str]:
         return [f"{name} must be positive (got {beta})"]
     if beta < BETA_MIN:
         return [f"{name} must be >= {BETA_MIN} (got {beta})"]
-    if beta > BETA_MAX:
-        return [f"{name} must be <= {BETA_MAX} (got {beta})"]
     return []
 
 
 def closed_factors(beta: float):
-    """(sinh(beta), sinh(beta/2)^2): the factors of :func:`comb_closed`
-    that do not depend on the phase ``s``, as Python floats.
+    """(1 - r^2, (1 - r)^2, 2 r) with r = exp(-beta): the factors of
+    :func:`comb_closed` that do not depend on the phase ``s``, as Python
+    floats, with 1 - r taken as -expm1(-beta).
 
-    Time loops that step Python floats bind them once per ``beta`` and
-    write the comb inline; the caller checks ``beta``'s domain.  They come
-    from ``math.sinh``, which may differ from numpy's by an ulp, so such a
-    loop agrees with :func:`comb_closed` to a few ulp.
+    The comb is num / (den + two_r * 2 sin^2(s/2)).  :func:`comb_closed`
+    and the time loops that step Python floats take them here, once per
+    ``beta``; the caller checks ``beta``'s domain.
     """
-    sh = math.sinh(0.5 * beta)
-    return math.sinh(beta), sh * sh
+    r, one_minus_r = math.exp(-beta), -math.expm1(-beta)
+    return one_minus_r * (1.0 + r), one_minus_r * one_minus_r, 2.0 * r
 
 
 def comb_closed(s, beta: float):
-    """Closed-form comb function sinh(beta)/(cosh(beta) - cos(s)).
+    """Closed-form comb function (1 - r^2)/((1 - r)^2 + 4 r sin^2(s/2)),
+    r = exp(-beta), through :func:`closed_factors`.
 
-    The denominator is evaluated as 2 sinh^2(beta/2) + 2 sin^2(s/2), the
-    same function free of the cancellation in cosh(beta) - cos(s), which
-    near the peak at small beta cost up to 2 eps/beta^2 of relative
-    accuracy; the peak coth(beta/2) now comes out within a few ulp.
+    Near the peak at small beta, cosh(beta) - cos(s) would cost up to
+    2 eps/beta^2 of relative accuracy to cancellation; this form brings the
+    peak coth(beta/2) out within a few ulp, and gives 1 at beta = inf.
 
     Strictly positive and 2*pi-periodic in ``s``; accepts scalars or arrays
     and evaluates both with numpy (a scalar ``s`` gives an ``np.float64``).
     """
     require(constraint_findings(beta))
-    sh, sn = np.sinh(0.5 * beta), np.sin(0.5 * np.asarray(s))
-    return np.sinh(beta) / (2.0 * (sh * sh + sn * sn))
+    num, den, two_r = closed_factors(beta)
+    sn = np.sin(0.5 * np.asarray(s))
+    return num / (den + 2.0 * two_r * (sn * sn))
 
 
 def comb_series(s, beta: float, K: int):
@@ -94,7 +94,7 @@ def comb_series(s, beta: float, K: int):
 def comb_fourier_coeff(k: int, beta: float) -> float:
     """Fourier coefficient exp(-|k|*beta) of the comb function."""
     require(constraint_findings(beta))
-    return float(np.exp(-abs(k) * beta))
+    return float(np.exp(-abs(k) * beta)) if k else 1.0
 
 
 def series_tail_bound(beta: float, K: int) -> float:
@@ -127,7 +127,7 @@ def comb_hwhm(beta: float) -> float:
 
     The peak value is coth(beta/2) at s = 0; the half-maximum point solves
     cos(s*) = 2 - cosh(beta), giving s* = arccos(2 - cosh(beta)) when
-    cosh(beta) < 3.  For broader profiles the half-maximum point leaves the
+    beta < acosh(3).  For broader profiles the half-maximum point leaves the
     principal branch and the full half-period pi is returned.
 
     For small beta, s* = beta + beta**3/12 + O(beta**5): the HWHM tends to
@@ -136,6 +136,6 @@ def comb_hwhm(beta: float) -> float:
     Both numbers are trivially related; this function returns the HWHM.
     """
     require(constraint_findings(beta))
-    if np.cosh(beta) >= 3.0:
+    if beta >= math.acosh(3.0):
         return float(np.pi)
     return float(np.arccos(2.0 - np.cosh(beta)))

@@ -27,7 +27,7 @@ needs no rescaling, and RK4 commutes with a change of units.
 """
 
 import math
-from math import hypot, isfinite, sin, sinh
+from math import exp, expm1, hypot, isfinite, sin
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +37,6 @@ from .comb import closed_factors, comb_closed
 from .engine import InsufficientDataError, IntegrationError, require
 
 HBAR = 1.054571817e-34  # J s
-
-# comb linewidth cap: wider than this is indistinguishable from flat
-_BETA_FLAT = 30.0
 
 
 class InstabilityError(IntegrationError):
@@ -165,7 +162,8 @@ class IntensityDrive:
                      the turning point where the absorption A_H(x) is
                      minimal.  The linewidth follows the motion through
                      the modulation strength mu_M = coupling * amplitude:
-                     beta(t) = max(beta_floor, t_n / (2 mu_M)).
+                     beta(t) = max(beta_floor, t_n / (2 mu_M)), and inf
+                     (a flat train) where mu_M = 0.
     """
 
     l0: float
@@ -188,7 +186,7 @@ class IntensityDrive:
                 raise ValueError("coupling must be nonnegative")
             if self.t_n <= 0.0:
                 raise ValueError("closed_loop drive requires t_n > 0")
-            # with the cap at 30, the floor bounds every beta of the law
+            # the floor bounds every beta of the law from below
             require(comb.constraint_findings(
                 self.beta_floor, "closed_loop drive: beta_floor"))
 
@@ -507,14 +505,10 @@ def drive_intensity(drive: IntensityDrive, mech: MechParams,
     w = mech.omega_m + mech.theta_ph * t_r
     xc = x - mech.theta_fh / mech.m_m * t_r / (w * w)
     vn = v / mech.omega_m
-    amp = math.hypot(xc, vn)
-    psi = math.atan2(-vn, xc) if amp > 0.0 else 0.0
-    mu_m = drive.coupling * amp
-    if mu_m > 0.0:
-        beta = min(max(drive.beta_floor, drive.t_n / (2.0 * mu_m)),
-                   _BETA_FLAT)
-    else:
-        beta = _BETA_FLAT
+    mu_m = drive.coupling * math.hypot(xc, vn)
+    beta = max(drive.beta_floor, drive.t_n / (2.0 * mu_m)) if mu_m > 0.0 \
+        else math.inf
+    psi = math.atan2(-vn, xc)
     offset = -math.pi if absorption.k_a1 > 0.0 else 0.0
     return drive.l0 * comb_closed(psi + offset, beta)
 
@@ -528,11 +522,11 @@ def _rhs(drive: IntensityDrive, mech: MechParams,
     :func:`drive_intensity`'s, with L0 A_H0 bound as one factor.  The
     closed loop's is in algebraic form, without atan2 or sin: the comb's
     2 sin^2((psi + offset)/2) is a ratio of xc, vn and the amplitude, and
-    the floor and flat linewidths' factors are folded at build time; it
-    agrees with the reference to rounding.  The drive's constructor keeps
-    every comb linewidth in the domain of
-    :func:`ringlock.comb.comb_closed`: the comb's beta, and the closed
-    loop's beta_floor, which with the cap at 30 bounds every stage's beta.
+    the floor linewidth's factors are folded at build time; it agrees with
+    the reference to rounding.  The drive's constructor keeps every comb
+    linewidth in the domain of :func:`ringlock.comb.comb_closed`: the
+    comb's beta, and the closed loop's beta_floor, which bounds every
+    stage's beta from below.
     """
     w0, theta_ph = mech.omega_m, mech.theta_ph
     m2g = -2.0 * mech.gamma_m
@@ -550,11 +544,12 @@ def _rhs(drive: IntensityDrive, mech: MechParams,
 
     if drive.mode == "comb":
         omega_pulse = drive.omega_pulse
-        sinh_b, sh2 = closed_factors(drive.beta)
+        num, den, two_r = closed_factors(drive.beta)
+        four_r = 2.0 * two_r
 
         def comb_rhs(t, x, v, t_r):
             sn = sin(0.5 * (omega_pulse * t))
-            heat = l0a * (sinh_b / (2.0 * (sh2 + sn * sn)))
+            heat = l0a * (num / (den + four_r * (sn * sn)))
             w = w0 + theta_ph * t_r
             return (v,
                     m2g * v - w * w * x + fh_per_m * t_r,
@@ -564,25 +559,19 @@ def _rhs(drive: IntensityDrive, mech: MechParams,
     # closed_loop: phase and linewidth slaved to the mirror motion.  With
     # psi = atan2(-vn, xc), cos(psi) = xc/amp, so the comb's
     # 2 sin^2((psi + offset)/2) is s2 = 1 + y/amp for y = -xc (blue,
-    # offset 0) or y = xc (red, offset -pi), and the heating is
-    #     L0 A_H0 sinh(beta) / (2 sinh^2(beta/2) + s2).
+    # offset 0) or y = xc (red, offset -pi), and with r = exp(-beta) the
+    # heating is L0 A_H0 (1 - r^2) / ((1 - r)^2 + 2 r s2).
     # For y < 0, s2 = (vn/amp) (vn/(amp - y)) avoids the cancellation.
-    # The denominator is at least 2 sinh^2(beta_floor/2) > 0.  beta =
-    # t_n/(2 mu_M) falls with the amplitude, so the floor and the flat cap
-    # are amplitude bounds, each inf under a coupling of 0 (a flat comb).
+    # The denominator is at least (1 - r)^2 > 0.  -beta = b_amp/amp with
+    # b_amp = -t_n/(2 coupling), so the floor is an amplitude bound; a
+    # coupling of 0 (b_amp = -inf, no floor) and amp = 0 give r = 0, the
+    # flat comb L0 A_H0.
     sign = 1.0 if ka1 > 0.0 else -1.0
-    coupling, half_tn = drive.coupling, 0.5 * drive.t_n
-    beta_floor = drive.beta_floor
-    amp_floor, amp_flat = ((half_tn / coupling / beta_floor,
-                            half_tn / coupling / _BETA_FLAT)
-                           if coupling > 0.0 else (math.inf, math.inf))
-    sinh_floor, sh2_floor = closed_factors(min(beta_floor, _BETA_FLAT))
-    sinh_flat, sh2_flat = closed_factors(_BETA_FLAT)
-    num_floor, den_floor = l0a * sinh_floor, 2.0 * sh2_floor
-    num_flat, den_flat = l0a * sinh_flat, 2.0 * sh2_flat
-    # at amp = 0 the law takes psi = 0, so s2 = 0 (blue) or 2 (red), and
-    # the flat comb
-    heat_rest = num_flat / (den_flat + (2.0 if ka1 > 0.0 else 0.0))
+    b_amp = -0.5 * drive.t_n / drive.coupling if drive.coupling > 0.0 \
+        else -math.inf
+    amp_floor = -b_amp / drive.beta_floor
+    num_floor, den_floor, two_r_floor = closed_factors(drive.beta_floor)
+    num_floor *= l0a
 
     def closed_loop_rhs(t, x, v, t_r):
         w = w0 + theta_ph * t_r
@@ -593,15 +582,13 @@ def _rhs(drive: IntensityDrive, mech: MechParams,
             y = sign * xc
             s2 = 1.0 + y / amp if y >= 0.0 else vn / amp * (vn / (amp - y))
             if amp >= amp_floor:
-                heat = num_floor / (den_floor + s2)
-            elif amp <= amp_flat:
-                heat = num_flat / (den_flat + s2)
+                heat = num_floor / (den_floor + two_r_floor * s2)
             else:
-                beta = half_tn / (coupling * amp)
-                sh = sinh(0.5 * beta)
-                heat = l0a * sinh(beta) / (2.0 * sh * sh + s2)
+                r, one_minus_r = exp(b_amp / amp), -expm1(b_amp / amp)
+                heat = l0a * one_minus_r * (1.0 + r) \
+                    / (one_minus_r * one_minus_r + 2.0 * r * s2)
         else:
-            heat = heat_rest
+            heat = l0a
         return (v,
                 m2g * v - w * w * x + fh_per_m * t_r,
                 heat * (1.0 + ka1 * x + ka2 * x * x) - kap * t_r)

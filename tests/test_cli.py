@@ -140,11 +140,9 @@ class TestRunExperiment:
         assert v0 == pytest.approx(comb_closed(s0, 0.1), rel=1e-15)
         assert vs0 == pytest.approx(v0, abs=1e-12)
 
-    def test_comb_run_at_beta_max(self, tmp_path):
-        # the widest linewidth validate accepts; sinh(beta) overflows
-        # just above 710
-        from ringlock.comb import BETA_MAX
-        cfg = ExperimentConfig("comb", {"beta": BETA_MAX, "n_points": 8}, 0,
+    def test_comb_run_at_wide_beta(self, tmp_path):
+        # far past 710, where sinh(beta) overflows: the profile is flat
+        cfg = ExperimentConfig("comb", {"beta": 1e4, "n_points": 8}, 0,
                                tmp_path)
         derived = run_experiment(cfg).derived
         assert derived["peak"] == pytest.approx(1.0, rel=1e-12)
@@ -479,6 +477,12 @@ class TestMainEntry:
             "experiment": "comb", "seed": 1,
             "parameters": {"beta": 0.2, "n_points": 16}})
         assert main(["run", str(good), "--out", str(tmp_path / "out")]) == 0
+        # a linewidth past sinh's overflow is valid: the comb is flat there
+        wide = write_config(tmp_path, {
+            "experiment": "comb", "parameters": {"beta": 800.0}},
+            "comb_max.json")
+        assert main(["run", str(wide), "--out", str(tmp_path / "wide")]) \
+            == 0
 
         bad = write_config(tmp_path, {
             "experiment": "comb", "parameters": {"beta": -2.0}}, "bad.json")
@@ -513,8 +517,6 @@ class TestMainEntry:
                     "g_m_re": 1.5, "n": 10}}, "|g_m|"),
                 ("comb.json", {"experiment": "comb", "parameters": {
                     "beta": 1e-8}}, "beta"),
-                ("comb_max.json", {"experiment": "comb", "parameters": {
-                    "beta": 800.0}}, "beta"),
                 ("noise.json", {"experiment": "noise", "parameters": dict(
                     NOISE_PARAMS, g_oa=0.5)}, "g_oa"),
                 ("n_pi.json", {"experiment": "noise", "parameters": dict(
@@ -584,6 +586,33 @@ class TestMainEntry:
             err = capsys.readouterr().err
             assert err.startswith("finding: "), err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_outputs_take_the_umask_mode(self, tmp_path, umask, mode):
+        # tables and manifests are created as open() creates a file, with
+        # mode 0o666 & ~umask
+        cfg = write_config(tmp_path, {
+            "experiment": "comb", "parameters": {"beta": 0.2, "n_points": 8}})
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        assert modes == {"comb_profile.txt": mode,
+                         "comb_manifest.json": mode}
+
+    def test_failed_replace_leaves_no_file(self, tmp_path, monkeypatch):
+        from ringlock.cli import _write_atomic
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            _write_atomic(tmp_path / "t.txt", "text\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_value_error_is_invalid_config(self, tmp_path, capsys,
                                                monkeypatch):

@@ -71,6 +71,18 @@ class TestClosedForm:
                     (beta, (got - want) / math.ulp(want))
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [700.0, 710.0, 1e4, math.inf])
+    def test_flat_at_wide_linewidths(self, beta):
+        # sinh(beta) overflows just above 710; the pulse-contrast form
+        # r = exp(-beta) underflows to the flat profile instead
+        for s in (0.0, np.pi):
+            assert comb_closed(s, beta) == 1.0
+        assert np.array_equal(comb_closed(np.array([0.0, np.pi]), beta),
+                              [1.0, 1.0])
+        assert comb_hwhm(beta) == np.pi
+
+
 class TestSeries:
     def test_agrees_with_closed_form_at_k50(self):
         assert abs(comb_series(0.0, 1.0, 50) - comb_closed(0.0, 1.0)) < 1e-12
@@ -111,6 +123,7 @@ class TestSeries:
 
 class TestFourierCoeff:
     def test_k_zero_is_one(self):
+        assert comb_fourier_coeff(0, math.inf) == 1.0
         assert comb_fourier_coeff(0, 0.37) == 1.0
 
     def test_direct_value(self):

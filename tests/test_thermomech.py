@@ -783,10 +783,10 @@ class TestClosedLoopDrive:
     @pytest.mark.parametrize("k_a1", [-1e4, 1e4])
     def test_fused_law_matches_reference_pointwise(self, k_a1):
         # simulate()'s closed-loop right-hand side against drive_intensity
-        # times A_H(x): the floor, mid-beta and flat linewidths, a coupling
-        # of 0, and amplitude 0, at phases around the circle and 1e-9 and
-        # 1e-5 rad from the trough and from the pulse peak (psi = 0 blue, pi
-        # red), where 1 - cos(psi + offset) cancels.  kappa_m T_R is 1e-3 of
+        # times A_H(x): the floor linewidth, beta = 0.5, 50 and 5000 (flat to
+        # rounding), a coupling of 0, and amplitude 0, at phases around the
+        # circle and 1e-9 and 1e-5 rad from the trough and from the pulse
+        # peak (psi = 0 blue, pi red), where 1 - cos(psi + offset) cancels.  kappa_m T_R is 1e-3 of
         # L0 A_H0, so T_R' itself has no cancellation
         omega_m = 2 * np.pi * 4e5
         mech = MechParams(m_m=1e-12, omega_m=omega_m, gamma_m=0.05 * omega_m,
@@ -802,9 +802,10 @@ class TestClosedLoopDrive:
         phases = np.concatenate([np.linspace(-np.pi, np.pi, 25),
                                  [d for e in (1e-9, 1e-5)
                                   for d in (e, -e, np.pi - e, e - np.pi)]])
-        # (coupling, amplitude): floor, mid and flat beta, uncoupled
+        # (coupling, amplitude): the floor, beta = 0.5, 50 and 5000, uncoupled
         cases = [
             (1e4 * omega_m * abs(k_a1), a0), (omega_m * abs(k_a1), a0),
+            (omega_m * abs(k_a1), 1e-2 * a0),
             (omega_m * abs(k_a1), 1e-4 * a0), (0.0, a0)]
         worst = 0.0
         for coupling, amp in cases:
@@ -821,16 +822,42 @@ class TestClosedLoopDrive:
                 worst = max(worst, abs(got - want) / abs(want))
         assert worst <= 1e-14
 
+    @pytest.mark.parametrize("k_a1", [-1e4, 1e4])
+    def test_flat_train_heats_at_l0(self, k_a1):
+        # at amplitude 0, and at any amplitude under a coupling of 0, the
+        # linewidth is infinite and the train flat: r = 0 and the heating
+        # is L0 A_H(x) exactly, not a comb capped at a finite beta
+        omega_m = 2 * np.pi * 4e5
+        mech = MechParams(m_m=1e-12, omega_m=omega_m, gamma_m=0.05 * omega_m,
+                          theta_ph=-2e3, theta_fh=-1e-9,
+                          kappa_m=0.01 * omega_m)
+        absorption = AbsorptionModel(1e5, k_a1, 3e6)
+        t_n = 0.01 * omega_m
+        a0 = t_n / (omega_m * abs(k_a1))
+        l0 = 50.0
+        t_r = 1e-3 * l0 * absorption.a_h0 / mech.kappa_m
+        w = mech.omega_m + mech.theta_ph * t_r
+        x_eq = mech.theta_fh / mech.m_m * t_r / (w * w)
+        states = [(x_eq, 0.0)] + [
+            (x_eq + a0 * np.cos(p), -omega_m * a0 * np.sin(p))
+            for p in np.linspace(-np.pi, np.pi, 9)]
+        for coupling in (1e4 * omega_m * abs(k_a1), 0.0):
+            rhs = thermomech._rhs(IntensityDrive.closed_loop(
+                l0, coupling, beta_floor=0.05, t_n=t_n), mech, absorption)
+            for x, v in states[:1] if coupling else states:
+                want = l0 * absorption.value(x) - mech.kappa_m * t_r
+                got = rhs(0.0, x, v, t_r)[2]
+                assert abs(got - want) <= 1e-14 * abs(want), (coupling, x, v)
+
     def test_drive_validation(self):
         with pytest.raises(ValueError):
             IntensityDrive(l0=-1.0)
-        # zero, positive linewidths below the comb's BETA_MIN and above its
-        # BETA_MAX: the constructor is the only check simulate's fused laws
-        # rely on
-        for beta in (0.0, 1e-8, 800.0):
+        # zero and positive linewidths below the comb's BETA_MIN: the
+        # constructor is the only check simulate's fused laws rely on
+        for beta in (0.0, 1e-8):
             with pytest.raises(ValueError):
                 IntensityDrive.comb(1.0, beta=beta, omega_pulse=1.0)
-        for beta_floor in (0.0, 1e-7, 800.0):
+        for beta_floor in (0.0, 1e-7):
             with pytest.raises(ValueError):
                 IntensityDrive.closed_loop(1.0, coupling=1.0,
                                            beta_floor=beta_floor, t_n=1.0)

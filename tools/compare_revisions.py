@@ -16,7 +16,8 @@ from there, so uncommitted files play no part.  Four records are written to
 - ``traced_mml_search``: one ``--trace 1`` run of ``mml-search`` per side,
   with the per-operation medians of the threshold search's layers.
 - ``kernels``: ``thermomech.simulate``'s microseconds per step in each
-  drive mode (``cw``, ``comb``, ``closed_loop``; 8000 steps each),
+  drive mode (``cw``, ``comb``, ``closed_loop``; 8000 steps each), and
+  in the closed loop below its floor linewidth (``closed_loop_mid``),
   ``lattice.run_lattice``'s microseconds per step on the ``lattice-chain``
   chain (20 000 steps after the default burn-in of 10 000, which the
   count includes) and ``lattice._block_means``'s milliseconds per
@@ -24,7 +25,7 @@ from there, so uncommitted files play no part.  Four records are written to
   repeat runs one fresh process per side, the side that runs first
   alternating, and each kernel gets its quartiles over the repeats on
   each side.  No workload runs the CW or comb step, which shares the RK4
-  loop with the closed loop.
+  loop with the closed loop, nor the closed loop below its floor.
 - ``byte_identity``: the ``seo``/``mml`` threshold configs below and one
   config of every other experiment, run through ``ringlock.cli.main`` on
   both sides.  Tables must match byte for byte, and manifests once
@@ -76,8 +77,7 @@ L0_FACTORS = (0.5, 0.7, 0.95, 1.0, 1.05, 1.3, 2.0)
 HALTING_THETA_PH = -2e3
 # one config of each experiment the threshold configs leave out (the open
 # chain's and adler's come from bench/workloads.py), and a periodic chain
-# with a burn-in and a stored trajectory; at beta = 0.2 numpy's sinh and
-# the C library's differ by an ulp
+# with a burn-in and a stored trajectory
 OTHER_CONFIGS = [
     ["comb", {"experiment": "comb", "seed": 0,
               "parameters": {"beta": 0.2, "n_points": 512}}],
@@ -98,14 +98,17 @@ OTHER_CONFIGS = [
 # the kernels' inputs: the CW and comb drives at half the SEO threshold of
 # SEO_BASE (the comb off resonance, at 0.31 omega_m), and the closed loop at
 # 0.9 times the MML threshold of mml-search seed 901 op 0, from its probe's
-# seed amplitude; none of them halts within KERNEL_STEPS
+# seed amplitude: at its coupling (every stage at the floor linewidth), and
+# at 1e-4 of it (beta = t_n/(2 mu_M) about 0.5 at the seed, below the
+# floor); none of them halts within KERNEL_STEPS
 KERNEL_STEPS = 8000
 LATTICE_KERNEL_STEPS = 20_000   # run_lattice's n_steps, after its burn-in
 KERNEL_REPEATS = 9      # interleaved repeats of the kernel timings
 # times each kernel once in the checkout on sys.path and prints one JSON
-# line: simulate's microseconds per step in each drive mode, run_lattice's
-# microseconds per step (burn-in included), and _block_means's
-# milliseconds per 200 x 64 block (mean of 20 calls)
+# line: simulate's microseconds per step in each drive mode and in the
+# closed loop below its floor, run_lattice's microseconds per step (burn-in
+# included), and _block_means's milliseconds per 200 x 64 block (mean of 20
+# calls)
 KERNEL_DRIVER = """
 import json, math, sys, time
 import numpy as np
@@ -123,15 +126,17 @@ def us_per_step(p, drive_of, x0):
     return (time.perf_counter() - start) / steps * 1e6
 
 half_seo = lambda m, a: 0.5 * tm.seo_threshold(m, a)
+closed_loop = lambda scale: lambda m, a: tm.IntensityDrive.closed_loop(
+    0.9 * tm.mml_threshold(m, a, mml["t_n"]), scale * mml["coupling"],
+    mml["beta_floor"], mml["t_n"])
+mml_x0 = mml["t_n"] / (mml["omega_m"] * abs(mml["k_a1"]))
 out = {
     "cw": us_per_step(seo, lambda m, a: tm.IntensityDrive.cw(
         half_seo(m, a)), seo["x0"]),
     "comb": us_per_step(seo, lambda m, a: tm.IntensityDrive.comb(
         half_seo(m, a), 0.4, 0.31 * seo["omega_m"]), seo["x0"]),
-    "closed_loop": us_per_step(mml, lambda m, a: tm.IntensityDrive.closed_loop(
-        0.9 * tm.mml_threshold(m, a, mml["t_n"]), mml["coupling"],
-        mml["beta_floor"], mml["t_n"]),
-        mml["t_n"] / (mml["omega_m"] * abs(mml["k_a1"]))),
+    "closed_loop": us_per_step(mml, closed_loop(1.0), mml_x0),
+    "closed_loop_mid": us_per_step(mml, closed_loop(1e-4), mml_x0),
 }
 config = lattice.LatticeConfig(chain["n_modes"], chain["mu_m"], chain["t_n"],
                                chain["dt"])
@@ -268,7 +273,8 @@ def kernels(work):
     record = {"protocol": f"{KERNEL_REPEATS} repeats; each runs one process "
                           "per side, the side that runs first alternating",
               "units": {"cw": "us/step", "comb": "us/step",
-                        "closed_loop": "us/step", "run_lattice": "us/step",
+                        "closed_loop": "us/step",
+                        "closed_loop_mid": "us/step", "run_lattice": "us/step",
                         "block_means": "ms/block"},
               "steps": KERNEL_STEPS,
               "run_lattice_steps": LATTICE_KERNEL_STEPS}
