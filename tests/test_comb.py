@@ -70,7 +70,6 @@ class TestClosedForm:
                 assert abs(got - want) <= 4.0 * math.ulp(want), \
                     (beta, (got - want) / math.ulp(want))
 
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("beta", [700.0, 710.0, 1e4, math.inf])
     def test_flat_at_wide_linewidths(self, beta):

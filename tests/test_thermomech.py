@@ -786,8 +786,8 @@ class TestClosedLoopDrive:
         # times A_H(x): the floor linewidth, beta = 0.5, 50 and 5000 (flat to
         # rounding), a coupling of 0, and amplitude 0, at phases around the
         # circle and 1e-9 and 1e-5 rad from the trough and from the pulse
-        # peak (psi = 0 blue, pi red), where 1 - cos(psi + offset) cancels.  kappa_m T_R is 1e-3 of
-        # L0 A_H0, so T_R' itself has no cancellation
+        # peak (psi = 0 blue, pi red), where 1 - cos(psi + offset) cancels.
+        # kappa_m T_R is 1e-3 of L0 A_H0, so T_R' itself has no cancellation
         omega_m = 2 * np.pi * 4e5
         mech = MechParams(m_m=1e-12, omega_m=omega_m, gamma_m=0.05 * omega_m,
                           theta_ph=-2e3, theta_fh=-1e-9,
