@@ -174,7 +174,6 @@ class SpectrumMap:
     psd: np.ndarray                  # (n_freqs, n_v) power density
     resolution: float                # Hz per bin
     segments: int
-    params: AdlerParams
     warnings: tuple = field(default_factory=tuple)
 
 
@@ -271,7 +270,7 @@ def pd_spectrum_sweep(params_base: AdlerParams, v_am_grid,
     return SpectrumMap(
         v_am_grid=v_am_grid, i_b=i_b_vals, freqs=freqs,
         psd=np.column_stack(psd_cols), resolution=sample_rate / segment_len,
-        segments=segments, params=params_base, warnings=tuple(notes))
+        segments=segments, warnings=tuple(notes))
 
 
 def sideband_amplitudes(spectrum: SpectrumResult, carrier_freq: float,

@@ -37,11 +37,14 @@ from . import __version__, adler, comb, engine, lattice, pulses, thermomech
 # ---------------------------------------------------------------------------
 # config schema
 
+# the default of a key that a config must give
+REQUIRED = object()
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     unit: str
-    required: bool = True
-    default: object = None
+    default: object = REQUIRED
     kind: type = float
     positive: bool = False
     nonnegative: bool = False
@@ -51,8 +54,7 @@ class ParamSpec:
 SCHEMAS = {
     "comb": {
         "beta": ParamSpec("dimensionless", positive=True),
-        "n_points": ParamSpec("count", required=False, default=512, kind=int,
-                              positive=True),
+        "n_points": ParamSpec("count", default=512, kind=int, positive=True),
     },
     "lattice": {
         "n_modes": ParamSpec("count", kind=int, positive=True),
@@ -60,24 +62,22 @@ SCHEMAS = {
         "t_n": ParamSpec("1/s", nonnegative=True),
         "dt": ParamSpec("s", positive=True),
         "n_steps": ParamSpec("count", kind=int, positive=True),
-        "burn_in": ParamSpec("count", required=False, default=None, kind=int,
+        "burn_in": ParamSpec("count", default=None, kind=int,
                              nonnegative=True),
-        "sample_every": ParamSpec("count", required=False, default=50,
-                                  kind=int, positive=True),
-        "max_lag": ParamSpec("count", required=False, default=10, kind=int,
-                             positive=True),
-        "store_trajectory": ParamSpec("flag", required=False, default=False,
-                                      kind=bool),
-        "traj_every": ParamSpec("count", required=False, default=1000,
-                                kind=int, positive=True),
-        "boundary": ParamSpec("enum", required=False, default="open_chain",
-                              kind=str, choices=lattice.BOUNDARIES),
+        "sample_every": ParamSpec("count", default=50, kind=int,
+                                  positive=True),
+        "max_lag": ParamSpec("count", default=10, kind=int, positive=True),
+        "store_trajectory": ParamSpec("flag", default=False, kind=bool),
+        "traj_every": ParamSpec("count", default=1000, kind=int,
+                                positive=True),
+        "boundary": ParamSpec("enum", default="open_chain", kind=str,
+                              choices=lattice.BOUNDARIES),
     },
     "pulse": {
         "g_m_re": ParamSpec("dimensionless"),
-        "g_m_im": ParamSpec("dimensionless", required=False, default=0.0),
-        "g0_re": ParamSpec("dimensionless", required=False, default=0.0),
-        "g0_im": ParamSpec("dimensionless", required=False, default=0.0),
+        "g_m_im": ParamSpec("dimensionless", default=0.0),
+        "g0_re": ParamSpec("dimensionless", default=0.0),
+        "g0_im": ParamSpec("dimensionless", default=0.0),
         "n": ParamSpec("round trips", kind=int, positive=True),
     },
     "adler": {
@@ -99,19 +99,18 @@ SCHEMAS = {
         "kappa_m": ParamSpec("1/s", positive=True),
         "a_h0": ParamSpec("K/(s intensity)", positive=True),
         "k_a1": ParamSpec("1/m"),
-        "k_a2": ParamSpec("1/m^2", required=False, default=0.0),
-        "l0_factor": ParamSpec("threshold units", required=False,
-                               default=1.05, positive=True),
-        "x0": ParamSpec("m", required=False, default=None),
-        "n_cycles": ParamSpec("count", required=False, default=400, kind=int,
-                              positive=True),
-        "steps_per_cycle": ParamSpec("count", required=False, default=200,
-                                     kind=int, positive=True),
-        "store_every": ParamSpec("count", required=False, default=10,
-                                 kind=int, positive=True),
-        "search": ParamSpec("flag", required=False, default=True, kind=bool),
-        "search_rtol": ParamSpec("dimensionless", required=False,
-                                 default=0.05, positive=True),
+        "k_a2": ParamSpec("1/m^2", default=0.0),
+        "l0_factor": ParamSpec("threshold units", default=1.05,
+                               positive=True),
+        "x0": ParamSpec("m", default=None),
+        "n_cycles": ParamSpec("count", default=400, kind=int, positive=True),
+        "steps_per_cycle": ParamSpec("count", default=200, kind=int,
+                                     positive=True),
+        "store_every": ParamSpec("count", default=10, kind=int,
+                                 positive=True),
+        "search": ParamSpec("flag", default=True, kind=bool),
+        "search_rtol": ParamSpec("dimensionless", default=0.05,
+                                 positive=True),
     },
     "noise": {
         "g_oa": ParamSpec("dimensionless", positive=True),
@@ -153,8 +152,7 @@ class RunManifest:
     derived: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True,
-                          default=str)
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:
@@ -193,7 +191,7 @@ def _parse(config: ExperimentConfig) -> tuple[dict, list[str]]:
     values = {}
     for key, spec in schema.items():
         if key not in params:
-            if spec.required:
+            if spec.default is REQUIRED:
                 findings.append(f"required key {key!r} absent "
                                 f"(unit: {spec.unit})")
             values[key] = spec.default
@@ -519,7 +517,10 @@ def _threshold_findings(p: dict, mode: str) -> list[str]:
 # experiment -> (the library's constraints on a schema-valid config's
 # values, each defined once in its module; the handler that runs it)
 _EXPERIMENTS = {
-    "comb": (lambda p: comb.constraint_findings(p["beta"]), _run_comb),
+    "comb": (lambda p: comb.constraint_findings(p["beta"]) or
+             comb.series_findings(p["n_points"],
+                                  comb.adaptive_truncation(p["beta"])),
+             _run_comb),
     "lattice": (lambda p: lattice.constraint_findings(
         p["n_modes"], p["mu_m"], p["dt"]) + lattice.run_findings(
         p["n_modes"], p["n_steps"], p["sample_every"], p["max_lag"]),

@@ -24,8 +24,13 @@ import numpy as np
 
 from .engine import require
 
-# coth(beta/2) overflows float range well before this; keep requests sane
+# the narrowest pulse accepted, about 1e-6 rad wide with a peak near 2e6.
+# No float limit sets it: the closed form is finite for every beta > 0.
+# It bounds requests to the range the tests check.
 BETA_MIN = 1e-6
+# the most terms comb_series forms at once, n_points*K: each of its float64
+# arrays of terms stays within 256 MiB
+MAX_SERIES_TERMS = 2 ** 25
 
 
 def constraint_findings(beta: float, name: str = "beta") -> list[str]:
@@ -42,6 +47,18 @@ def constraint_findings(beta: float, name: str = "beta") -> list[str]:
         return [f"{name} must be positive (got {beta})"]
     if beta < BETA_MIN:
         return [f"{name} must be >= {BETA_MIN} (got {beta})"]
+    return []
+
+
+def series_findings(n_points: int, K: int) -> list[str]:
+    """Violations of :func:`comb_series`' size rule, n_points*K <=
+    MAX_SERIES_TERMS; an empty list means valid.  The series and the CLI's
+    config validation check it here.
+    """
+    if n_points * K > MAX_SERIES_TERMS:
+        return [f"the comb series of K = {K} terms at {n_points} points "
+                f"needs n_points*K <= {MAX_SERIES_TERMS} (got {n_points * K});"
+                " raise beta or lower n_points"]
     return []
 
 
@@ -79,11 +96,13 @@ def comb_series(s, beta: float, K: int):
     """Truncated Fourier series 1 + 2*sum_{k=1..K} exp(-k*beta)*cos(k*s).
 
     Converges to :func:`comb_closed` as K grows, with absolute error at most
-    ``series_tail_bound(beta, K)``.
+    ``series_tail_bound(beta, K)``.  It forms an array of size(s)*K terms,
+    at most ``MAX_SERIES_TERMS``.
     """
     require(constraint_findings(beta))
     if K < 1:
         raise ValueError("K must be >= 1")
+    require(series_findings(np.size(s), K))
     s = np.asarray(s, dtype=float)
     k = np.arange(1, K + 1)
     terms = np.exp(-k * beta) * np.cos(np.multiply.outer(s, k))

@@ -77,12 +77,10 @@ def element_freq_like(gamma_f: complex) -> MoebiusElement:
 
 
 def compose(first: MoebiusElement, second: MoebiusElement) -> MoebiusElement:
-    """Element equivalent to applying ``first`` then ``second``."""
+    """Element equivalent to applying ``first`` then ``second``; a product
+    whose determinant rounds to 0 is refused as a degenerate element."""
     m = second.matrix @ first.matrix
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    if a * d - b * c == 0:
-        raise ValueError("degenerate composition: AD - BC = 0")
-    return MoebiusElement(a, b, c, d)
+    return MoebiusElement(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
 def apply(element: MoebiusElement, gamma: complex) -> complex:

@@ -298,12 +298,11 @@ def seo_threshold(mech: MechParams, absorption: AbsorptionModel) -> float:
 
     Solves gamma_m + gamma_h0(L) = 0:
     L* = -2 gamma_m m_m w_m^2 / (k_A1 Theta_FH A_H0).  Returns inf when the
-    sign combination is stabilizing (no finite threshold).
+    sign combination is stabilizing (no finite threshold).  Under CW light
+    there is no pulse term gamma_h1, so this is :func:`mml_threshold` at
+    T_N = inf, where 1 - 2 w_m/T_N is exactly 1.
     """
-    slope = gamma_h0(mech, absorption, 1.0)
-    if slope >= 0.0:
-        return float("inf")
-    return -mech.gamma_m / slope
+    return mml_threshold(mech, absorption, math.inf)
 
 
 def mml_threshold(mech: MechParams, absorption: AbsorptionModel,
@@ -605,8 +604,8 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
     has one fused right-hand side, built once per run with the drive law
     inline; :func:`drive_intensity` is the reference for that law.  The
     step's constants are taken once, each the value its plain expression
-    rounds to, and the halt test reads the state's sum first and each
-    component only when that sum is not finite or a bound is crossed.
+    rounds to.  After each step one test reads each component of the
+    state.
 
     Above an instability threshold the linear growth is unbounded; the run
     halts with :class:`InstabilityError`, at the end time of the step that
@@ -614,7 +613,8 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
     expansion is invalid there), once the thermal frequency
     omega_m + Theta_PH T_R reaches zero (the restoring force vanishes and
     the closed-loop law's x_eq is singular there), or once the state stops
-    being finite.
+    being finite.  A state that is not finite halts with the absorption
+    domain's message.
     """
     require(step_constraint_findings(dt, mech.omega_m))
     if t_end <= dt:
@@ -652,21 +652,15 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
         v += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         t_r += sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
 
-        # a finite sum has finite terms; one that overflows falls through
-        # to the full test
-        if not (isfinite(x + v + t_r) and -x_limit <= x <= x_limit
-                and w0 + theta_ph * t_r > 0.0):
-            bad = not (isfinite(x) and isfinite(v) and isfinite(t_r))
-            if bad or abs(x) > x_limit or w0 + theta_ph * t_r <= 0.0:
-                if bad or abs(x) > x_limit:
-                    reason = "integration left the linear-absorption domain"
-                else:
-                    reason = ("the thermal frequency omega_m + theta_ph*T_R "
-                              "reached zero")
-                raise InstabilityError(
-                    f"{reason} at t = {i * dt:.6g} s", t=i * dt,
-                    trajectory=MirrorTrajectory(time[:j], xa[:j], va[:j],
-                                                ta[:j]))
+        inside = (isfinite(x) and isfinite(v) and isfinite(t_r)
+                  and -x_limit <= x <= x_limit)
+        if not (inside and w0 + theta_ph * t_r > 0.0):
+            reason = ("the thermal frequency omega_m + theta_ph*T_R reached "
+                      "zero" if inside else
+                      "integration left the linear-absorption domain")
+            raise InstabilityError(
+                f"{reason} at t = {i * dt:.6g} s", t=i * dt,
+                trajectory=MirrorTrajectory(time[:j], xa[:j], va[:j], ta[:j]))
         if i % store_every == 0:
             time[j], xa[j], va[j], ta[j] = t1, x, v, t_r
             j += 1

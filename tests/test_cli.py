@@ -483,6 +483,13 @@ class TestMainEntry:
             "comb_max.json")
         assert main(["run", str(wide), "--out", str(tmp_path / "wide")]) \
             == 0
+        # at beta = 1e-3 the 512-point series (K = 37 535) holds 57% of the
+        # terms the size rule allows, and runs
+        narrow = write_config(tmp_path, {
+            "experiment": "comb", "parameters": {"beta": 1e-3}},
+            "comb_narrow.json")
+        assert main(["run", str(narrow), "--out",
+                     str(tmp_path / "narrow")]) == 0
 
         bad = write_config(tmp_path, {
             "experiment": "comb", "parameters": {"beta": -2.0}}, "bad.json")
@@ -517,6 +524,9 @@ class TestMainEntry:
                     "g_m_re": 1.5, "n": 10}}, "|g_m|"),
                 ("comb.json", {"experiment": "comb", "parameters": {
                     "beta": 1e-8}}, "beta"),
+                # 512 x K = 44 442 264 series terms: 170 GiB per array
+                ("series.json", {"experiment": "comb", "parameters": {
+                    "beta": 1e-6}}, "K = 44442264"),
                 ("noise.json", {"experiment": "noise", "parameters": dict(
                     NOISE_PARAMS, g_oa=0.5)}, "g_oa"),
                 ("n_pi.json", {"experiment": "noise", "parameters": dict(
@@ -668,6 +678,24 @@ class TestMainEntry:
             "experiment": "comb", "parameters": {"beta": 0.2}})
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match="'profile'"):
+            main(["run", str(cfg), "--out", str(out)])
+        assert "invalid config" not in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_unencodable_manifest_value_is_a_program_failure(
+            self, tmp_path, capsys, monkeypatch):
+        # a derived value JSON cannot encode is a handler's defect: it ends
+        # in a traceback, not written as its str
+        import ringlock.cli as cli
+
+        def unencodable(p, manifest, out_dir):
+            manifest.derived["opaque"] = object()
+        check, _ = cli._EXPERIMENTS["comb"]
+        monkeypatch.setitem(cli._EXPERIMENTS, "comb", (check, unencodable))
+        cfg = write_config(tmp_path, {
+            "experiment": "comb", "parameters": {"beta": 0.2}})
+        out = tmp_path / "out"
+        with pytest.raises(TypeError, match="not JSON serializable"):
             main(["run", str(cfg), "--out", str(out)])
         assert "invalid config" not in capsys.readouterr().err
         assert list(out.iterdir()) == []

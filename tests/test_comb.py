@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ringlock.comb import (adaptive_truncation, comb_closed,
-                           comb_fourier_coeff, comb_hwhm, comb_series,
-                           series_tail_bound)
+from ringlock.comb import (MAX_SERIES_TERMS, adaptive_truncation,
+                           comb_closed, comb_fourier_coeff, comb_hwhm,
+                           comb_series, series_findings, series_tail_bound)
 
 
 def bisect_hwhm(beta, lo=1e-12, hi=np.pi, iters=200):
@@ -118,6 +118,25 @@ class TestSeries:
     def test_validation(self):
         with pytest.raises(ValueError):
             comb_series(0.0, 1.0, 0)
+
+    def test_size_rule(self):
+        assert series_findings(MAX_SERIES_TERMS, 1) == []
+        assert series_findings(512, MAX_SERIES_TERMS // 512) == []
+        finding, = series_findings(512, MAX_SERIES_TERMS // 512 + 1)
+        assert f"K = {MAX_SERIES_TERMS // 512 + 1}" in finding
+
+    def test_oversized_series_refused_before_allocating(self):
+        # K = 44 442 264 at beta = 1e-6: 512 x K terms would be 170 GiB
+        import tracemalloc
+        k = adaptive_truncation(1e-6)
+        assert 512 * k > MAX_SERIES_TERMS
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n_points\\*K"):
+                comb_series(np.zeros(512), 1e-6, k)
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+        finally:
+            tracemalloc.stop()
 
 
 class TestFourierCoeff:

@@ -42,6 +42,17 @@ class TestNormalDraws:
         assert np.array_equal(a, normal_draws(substream(RngStream(99), 0),
                                               1000))
 
+    def test_substream_index_range(self):
+        # the counter (run_index + 1)*2**32 must stay below 2**64: the last
+        # index would wrap onto the parent stream's own draws
+        base = normal_draws(RngStream(7), 4)
+        last = substream(RngStream(7), 2 ** 32 - 2)
+        assert last.counter == 2 ** 64 - 2 ** 32
+        assert not np.array_equal(normal_draws(last, 4), base)
+        for bad in (-1, 2 ** 32 - 1, 2 ** 32, 2 ** 40):
+            with pytest.raises(ValueError, match="run_index"):
+                substream(RngStream(7), bad)
+
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             normal_draws(RngStream(0), 0)

@@ -53,6 +53,13 @@ class TestElements:
         with pytest.raises(ValueError):
             MoebiusElement(1.0, 2.0, 2.0, 4.0)
 
+    def test_degenerate_composition_rejected(self):
+        # each determinant is 1e-320 (subnormal, nonzero); the product's
+        # 1e-640 rounds to 0
+        tiny = MoebiusElement(1e-160, 0, 0, 1e-160)
+        with pytest.raises(ValueError, match="AD - BC = 0"):
+            compose(tiny, tiny)
+
 
 class TestCompose:
     def test_roundtrip_coefficients(self):

@@ -160,6 +160,11 @@ class TestThresholdFormulas:
         red = AbsorptionModel(1e5, +1e4)
         assert mml_threshold(mech, red, 1e12 * mech.omega_m) == \
             pytest.approx(seo_threshold(mech, red), rel=1e-6)
+        # at T_N = inf the pulse term vanishes: 1 - 2 w_m/T_N is exactly 1
+        for k_a1 in (+1e4, -1e4):
+            absorption = AbsorptionModel(1e5, k_a1)
+            assert mml_threshold(mech, absorption, math.inf) == \
+                seo_threshold(mech, absorption)
 
     def test_aluminum_guard(self):
         with pytest.raises(ValueError):
@@ -278,6 +283,26 @@ class TestSimulate:
         assert t == round(t / dt) * dt       # a step's end time
         assert f"at t = {t:.6g} s" in str(err.value)
         assert t < 1.0
+
+    def test_non_finite_state_halts_without_displacement_limit(self):
+        # k_A1 = 0 leaves |x| unbounded; the quadratic heating k_A2 x^2
+        # feeds the thermal force back into x until the state overflows,
+        # and the run halts at the end of that step with the absorption-
+        # domain message and the finite samples stored before it
+        mech = MechParams(m_m=1.0, omega_m=1.0, gamma_m=0.0, theta_ph=0.0,
+                          theta_fh=1.0, kappa_m=1.0)
+        dt = 2 * np.pi / 100
+        with pytest.raises(InstabilityError,
+                           match="linear-absorption domain") as err:
+            simulate(mech, AbsorptionModel(1.0, 0.0, 1.0),
+                     IntensityDrive.cw(1.0), x0=1.0, v0=0.0,
+                     t_end=1000 * dt, dt=dt, store_every=3)
+        traj, t = err.value.trajectory, err.value.t
+        assert t == round(t / dt) * dt       # a step's end time
+        assert traj.time[-1] < t <= traj.time[-1] + 3 * dt
+        assert f"at t = {t:.6g} s" in str(err.value)
+        for column in (traj.time, traj.x, traj.v, traj.t_r_rel):
+            assert np.all(np.isfinite(column))
 
     def test_finite_state_whose_sum_overflows_runs_on(self):
         # a finite state near the float maximum whose x + v overflows is

@@ -20,8 +20,13 @@ from there, so uncommitted files play no part.  Four records are written to
   in the closed loop below its floor linewidth (``closed_loop_mid``),
   ``lattice.run_lattice``'s microseconds per step on the ``lattice-chain``
   chain (20 000 steps after the default burn-in of 10 000, which the
-  count includes) and ``lattice._block_means``'s milliseconds per
-  200 x 64 block, the block of the ``lattice-chain`` workload.  Each
+  count includes), ``lattice._block_means``'s milliseconds per
+  200 x 64 block, the block of the ``lattice-chain`` workload,
+  ``adler.integrate_adler``'s microseconds per step (i_b = 1.2,
+  dtau = 0.01, 20 000 steps), ``engine.welch_psd``'s microseconds per
+  8192-sample segment on one ``adler-sweep`` column of 65 536 samples,
+  and ``cli._write_table``'s microseconds per cell on a 4097 x 4 float64
+  table written to a temporary directory.  Each
   repeat runs one fresh process per side, the side that runs first
   alternating, and each kernel gets its quartiles over the repeats on
   each side.  No workload runs the CW or comb step, which shares the RK4
@@ -103,17 +108,23 @@ OTHER_CONFIGS = [
 # floor); none of them halts within KERNEL_STEPS
 KERNEL_STEPS = 8000
 LATTICE_KERNEL_STEPS = 20_000   # run_lattice's n_steps, after its burn-in
+ADLER_KERNEL_STEPS = 20_000     # integrate_adler's steps at dtau = 0.01
 KERNEL_REPEATS = 9      # interleaved repeats of the kernel timings
 # times each kernel once in the checkout on sys.path and prints one JSON
 # line: simulate's microseconds per step in each drive mode and in the
 # closed loop below its floor, run_lattice's microseconds per step (burn-in
-# included), and _block_means's milliseconds per 200 x 64 block (mean of 20
-# calls)
+# included), _block_means's milliseconds per 200 x 64 block (mean of 20
+# calls), integrate_adler's microseconds per step, welch_psd's microseconds
+# per segment on the detector signal of the adler-sweep config's lowest
+# V_AM (mean of 20 calls), and _write_table's microseconds per cell (mean
+# of 10 tables)
 KERNEL_DRIVER = """
-import json, math, sys, time
+import json, math, sys, tempfile, time
+from pathlib import Path
 import numpy as np
-from ringlock import lattice, thermomech as tm
-steps, seo, mml, chain, chain_steps = json.loads(sys.argv[1])
+from ringlock import adler, cli, engine, lattice, thermomech as tm
+steps, seo, mml, chain, chain_steps, adl, adler_steps = json.loads(
+    sys.argv[1])
 
 def us_per_step(p, drive_of, x0):
     mech = tm.MechParams(p["m_m"], p["omega_m"], p["gamma_m"],
@@ -149,6 +160,27 @@ start = time.perf_counter()
 for _ in range(20):
     lattice._block_means(block, 1.0, 10, False)
 out["block_means"] = (time.perf_counter() - start) / 20 * 1e3
+start = time.perf_counter()
+adler.integrate_adler(1.2, 0.0, adler_steps * 0.01, 0.01)
+out["integrate_adler"] = (time.perf_counter() - start) / adler_steps * 1e6
+params = adler.AdlerParams.from_threshold(adl["omega_am"], adl["omega_r"],
+                                          adl["v_am0"], adl["v_min"])
+rate = params.zeta_am * params.v_am
+rate_hz = adl["sample_rate"]
+t = np.arange(int(adl["duration"] * rate_hz)) / rate_hz
+phi = adler.closed_form_phase(adler.normalized_bias(params), abs(rate) * t)
+signal = np.cos(params.omega_am * t - np.sign(rate) * phi)
+start = time.perf_counter()
+for _ in range(20):
+    segments = engine.welch_psd(signal, rate_hz, 8192).segments
+out["welch_psd"] = (time.perf_counter() - start) / (20 * segments) * 1e6
+columns = list(np.random.default_rng(0).normal(size=(4, 4097)))
+manifest = cli.RunManifest("kernels", {}, "", "", 0)
+with tempfile.TemporaryDirectory() as tmp:
+    start = time.perf_counter()
+    for _ in range(10):
+        cli._write_table(manifest, Path(tmp), "table", list("abcd"), columns)
+    out["write_table"] = (time.perf_counter() - start) / (10 * 4 * 4097) * 1e6
 print(json.dumps(out))
 """
 
@@ -261,7 +293,9 @@ def kernels(work):
     from workloads import LATTICE_BASE, make_config
     inputs = json.dumps([KERNEL_STEPS, SEO_BASE,
                          make_config("mml-search", 901, 0)["parameters"],
-                         LATTICE_BASE, LATTICE_KERNEL_STEPS])
+                         LATTICE_BASE, LATTICE_KERNEL_STEPS,
+                         make_config("adler-sweep", 901, 0)["parameters"],
+                         ADLER_KERNEL_STEPS])
     runs = {side: [] for side in SIDES}
     for r in range(KERNEL_REPEATS):
         for side in (SIDES if r % 2 else SIDES[::-1]):
@@ -275,9 +309,12 @@ def kernels(work):
               "units": {"cw": "us/step", "comb": "us/step",
                         "closed_loop": "us/step",
                         "closed_loop_mid": "us/step", "run_lattice": "us/step",
-                        "block_means": "ms/block"},
+                        "block_means": "ms/block",
+                        "integrate_adler": "us/step",
+                        "welch_psd": "us/segment", "write_table": "us/cell"},
               "steps": KERNEL_STEPS,
-              "run_lattice_steps": LATTICE_KERNEL_STEPS}
+              "run_lattice_steps": LATTICE_KERNEL_STEPS,
+              "integrate_adler_steps": ADLER_KERNEL_STEPS}
     for side in SIDES:
         record[side] = {k: quartiles([run[k] for run in runs[side]])
                         for k in runs[side][0]}
