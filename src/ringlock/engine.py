@@ -84,10 +84,10 @@ def substream(stream: RngStream, run_index: int) -> RngStream:
     """Derive an independent substream for a parallel run.
 
     Substreams are spaced 2**32 counter values apart, so they never collide
-    as long as no single run makes more than 2**32 draw calls.  The
-    counter (run_index + 1)*2**32 must stay below 2**64, the counter's word
-    of the Philox key, so run_index lies in [0, 2**32 - 1): the last index
-    would wrap onto the parent stream's counter 0, and is refused.
+    as long as no single run makes more than 2**32 draw calls.
+    ``run_index`` must lie in [0, 2**32 - 1): the counter
+    (run_index + 1)*2**32 is a 64-bit word of the Philox key, and 2**32 - 1
+    would wrap it to 0, the parent stream's own start.
     """
     if not 0 <= run_index < 2 ** 32 - 1:
         raise ValueError(f"run_index must lie in [0, 2**32 - 1) "
