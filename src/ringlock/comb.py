@@ -28,9 +28,12 @@ from .engine import require
 # No float limit sets it: the closed form is finite for every beta > 0.
 # It bounds requests to the range the tests check.
 BETA_MIN = 1e-6
-# the most terms comb_series forms at once, n_points*K: each of its float64
-# arrays of terms stays within 256 MiB
+# the most terms comb_series sums, n_points*K: a bound on its work (about a
+# second at 2**25 terms), not on its memory, which its blocks bound
 MAX_SERIES_TERMS = 2 ** 25
+# the most terms comb_series forms at once, rows*K: each of its float64
+# arrays of terms stays within 8 MiB
+SERIES_BLOCK_TERMS = 2 ** 20
 
 
 def constraint_findings(beta: float, name: str = "beta") -> list[str]:
@@ -96,8 +99,11 @@ def comb_series(s, beta: float, K: int):
     """Truncated Fourier series 1 + 2*sum_{k=1..K} exp(-k*beta)*cos(k*s).
 
     Converges to :func:`comb_closed` as K grows, with absolute error at most
-    ``series_tail_bound(beta, K)``.  It forms an array of size(s)*K terms,
-    at most ``MAX_SERIES_TERMS``.
+    ``series_tail_bound(beta, K)``.  It sums size(s)*K terms, at most
+    ``MAX_SERIES_TERMS``, over blocks of points of at most
+    ``SERIES_BLOCK_TERMS`` terms (one point at least).  Each point's sum
+    over k is the same reduction at any block size, so the blocks change
+    no bit of the result.
     """
     require(constraint_findings(beta))
     if K < 1:
@@ -105,8 +111,12 @@ def comb_series(s, beta: float, K: int):
     require(series_findings(np.size(s), K))
     s = np.asarray(s, dtype=float)
     k = np.arange(1, K + 1)
-    terms = np.exp(-k * beta) * np.cos(np.multiply.outer(s, k))
-    out = 1.0 + 2.0 * terms.sum(axis=-1)
+    weights, rows = np.exp(-k * beta), max(1, SERIES_BLOCK_TERMS // K)
+    sums = np.empty(s.size)
+    for i in range(0, s.size, rows):
+        terms = weights * np.cos(np.multiply.outer(s.flat[i:i + rows], k))
+        sums[i:i + rows] = terms.sum(axis=-1)
+    out = 1.0 + 2.0 * sums.reshape(s.shape)
     return out if out.ndim else float(out)
 
 

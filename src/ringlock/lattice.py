@@ -339,7 +339,7 @@ class LatticeRunStats:
     N^2/(pi^2 mu_M): at N = 64, beta_N = 0.1 and 3e5 steps, ``diff_sq_se``
     reads 0.0038 in the mean over 40 seeds, where ``diff_sq`` spreads
     between those seeds with an sd of 0.0074, about 2x more.  Replica
-    ensembles are the planned remedy (ROADMAP, open item 3).
+    ensembles are the planned remedy (ROADMAP, open item 6).
     """
 
     n_samples: int

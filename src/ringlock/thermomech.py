@@ -27,7 +27,7 @@ needs no rescaling, and RK4 commutes with a change of units.
 """
 
 import math
-from math import exp, expm1, hypot, isfinite, sin
+from math import exp, expm1, hypot, isfinite
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,26 +150,22 @@ class AbsorptionModel:
 
 @dataclass(frozen=True)
 class IntensityDrive:
-    """Intracavity intensity model L_H(t).
+    """Intracavity intensity model L_H, a function of the mirror's state.
 
     Modes:
       cw          -- constant L_0
-      comb        -- L_0 * T_beta(omega_pulse*t): open-loop pulse train
-                     from a fixed clock
       closed_loop -- pulse train slaved to the mirror: the comb argument is
                      the mirror's own oscillation phase (measured about the
                      instantaneous thermal equilibrium), with pulse peaks at
                      the turning point where the absorption A_H(x) is
                      minimal.  The linewidth follows the motion through
                      the modulation strength mu_M = coupling * amplitude:
-                     beta(t) = max(beta_floor, t_n / (2 mu_M)), and inf
+                     beta = max(beta_floor, t_n / (2 mu_M)), and inf
                      (a flat train) where mu_M = 0.
     """
 
     l0: float
     mode: str = "cw"
-    beta: float = 0.0            # comb mode
-    omega_pulse: float = 0.0     # rad/s, comb mode
     coupling: float = 0.0        # 1/(m s): mu_M per meter of amplitude
     beta_floor: float = 0.0      # closed_loop
     t_n: float = 0.0             # 1/s, effective noise for the beta schedule
@@ -177,10 +173,8 @@ class IntensityDrive:
     def __post_init__(self):
         if self.l0 < 0.0:
             raise ValueError("l0 must be nonnegative")
-        if self.mode not in ("cw", "comb", "closed_loop"):
+        if self.mode not in ("cw", "closed_loop"):
             raise ValueError(f"unknown drive mode {self.mode!r}")
-        if self.mode == "comb":
-            require(comb.constraint_findings(self.beta, "comb drive: beta"))
         if self.mode == "closed_loop":
             if self.coupling < 0.0:
                 raise ValueError("coupling must be nonnegative")
@@ -193,11 +187,6 @@ class IntensityDrive:
     @classmethod
     def cw(cls, l0: float) -> "IntensityDrive":
         return cls(l0=l0, mode="cw")
-
-    @classmethod
-    def comb(cls, l0: float, beta: float,
-             omega_pulse: float) -> "IntensityDrive":
-        return cls(l0=l0, mode="comb", beta=beta, omega_pulse=omega_pulse)
 
     @classmethod
     def closed_loop(cls, l0: float, coupling: float, beta_floor: float,
@@ -484,9 +473,10 @@ def linear_response_oracle(mech: MechParams, absorption: AbsorptionModel,
 
 
 def drive_intensity(drive: IntensityDrive, mech: MechParams,
-                    absorption: AbsorptionModel, t: float, x: float,
-                    v: float, t_r: float) -> float:
-    """Instantaneous intensity L_H for any drive mode (SI inputs).
+                    absorption: AbsorptionModel, x: float, v: float,
+                    t_r: float) -> float:
+    """Instantaneous intensity L_H for any drive mode, from the mirror's
+    state (SI inputs); no mode reads the time.
 
     For the closed_loop mode the pulse train is slaved to the mirror: the
     oscillation phase is measured about the instantaneous thermal
@@ -499,8 +489,6 @@ def drive_intensity(drive: IntensityDrive, mech: MechParams,
     """
     if drive.mode == "cw":
         return drive.l0
-    if drive.mode == "comb":
-        return drive.l0 * comb_closed(drive.omega_pulse * t, drive.beta)
     w = mech.omega_m + mech.theta_ph * t_r
     xc = x - mech.theta_fh / mech.m_m * t_r / (w * w)
     vn = v / mech.omega_m
@@ -524,8 +512,8 @@ def _rhs(drive: IntensityDrive, mech: MechParams,
     the floor linewidth's factors are folded at build time; it agrees with
     the reference to rounding.  The drive's constructor keeps every comb
     linewidth in the domain of :func:`ringlock.comb.comb_closed`: the
-    comb's beta, and the closed loop's beta_floor, which bounds every
-    stage's beta from below.
+    closed loop's beta_floor bounds every stage's beta from below.  No law
+    reads the time, so a right-hand side takes the state (x, v, T_R) alone.
     """
     w0, theta_ph = mech.omega_m, mech.theta_ph
     m2g = -2.0 * mech.gamma_m
@@ -534,26 +522,12 @@ def _rhs(drive: IntensityDrive, mech: MechParams,
     l0a = drive.l0 * absorption.a_h0
     ka1, ka2 = absorption.k_a1, absorption.k_a2
     if drive.mode == "cw":
-        def cw_rhs(t, x, v, t_r):
+        def cw_rhs(x, v, t_r):
             w = w0 + theta_ph * t_r
             return (v,
                     m2g * v - w * w * x + fh_per_m * t_r,
                     l0a * (1.0 + ka1 * x + ka2 * x * x) - kap * t_r)
         return cw_rhs
-
-    if drive.mode == "comb":
-        omega_pulse = drive.omega_pulse
-        num, den, two_r = closed_factors(drive.beta)
-        four_r = 2.0 * two_r
-
-        def comb_rhs(t, x, v, t_r):
-            sn = sin(0.5 * (omega_pulse * t))
-            heat = l0a * (num / (den + four_r * (sn * sn)))
-            w = w0 + theta_ph * t_r
-            return (v,
-                    m2g * v - w * w * x + fh_per_m * t_r,
-                    heat * (1.0 + ka1 * x + ka2 * x * x) - kap * t_r)
-        return comb_rhs
 
     # closed_loop: phase and linewidth slaved to the mirror motion.  With
     # psi = atan2(-vn, xc), cos(psi) = xc/amp, so the comb's
@@ -572,7 +546,7 @@ def _rhs(drive: IntensityDrive, mech: MechParams,
     num_floor, den_floor, two_r_floor = closed_factors(drive.beta_floor)
     num_floor *= l0a
 
-    def closed_loop_rhs(t, x, v, t_r):
+    def closed_loop_rhs(x, v, t_r):
         w = w0 + theta_ph * t_r
         xc = x - fh_per_m * t_r / (w * w)
         vn = v / w0
@@ -602,10 +576,11 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
     The step must resolve the mechanical period: dt <= 2 pi/(50 w_m).  The
     returned trajectory is decimated by ``store_every``.  Each drive mode
     has one fused right-hand side, built once per run with the drive law
-    inline; :func:`drive_intensity` is the reference for that law.  The
-    step's constants are taken once, each the value its plain expression
-    rounds to.  After each step one test reads each component of the
-    state.
+    inline; :func:`drive_intensity` is the reference for that law.  Every
+    law is autonomous, so the stages carry no time; sample i is stored at
+    time i*dt.  The step's constants are taken once, each the value its
+    plain expression rounds to.  After each step one test reads each
+    component of the state.
 
     Above an instability threshold the linear growth is unbounded; the run
     halts with :class:`InstabilityError`, at the end time of the step that
@@ -639,15 +614,11 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
 
     # the step's constants, as the plain expressions round them
     half, sixth = 0.5 * dt, dt / 6.0
-    t1 = 0.0
     for i in range(1, n_steps + 1):
-        t0, t_mid, t1 = t1, (i - 0.5) * dt, i * dt
-        a1, b1, c1 = rhs(t0, x, v, t_r)
-        a2, b2, c2 = rhs(t_mid, x + half * a1, v + half * b1,
-                         t_r + half * c1)
-        a3, b3, c3 = rhs(t_mid, x + half * a2, v + half * b2,
-                         t_r + half * c2)
-        a4, b4, c4 = rhs(t1, x + dt * a3, v + dt * b3, t_r + dt * c3)
+        a1, b1, c1 = rhs(x, v, t_r)
+        a2, b2, c2 = rhs(x + half * a1, v + half * b1, t_r + half * c1)
+        a3, b3, c3 = rhs(x + half * a2, v + half * b2, t_r + half * c2)
+        a4, b4, c4 = rhs(x + dt * a3, v + dt * b3, t_r + dt * c3)
         x += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         v += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         t_r += sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
@@ -662,7 +633,7 @@ def simulate(mech: MechParams, absorption: AbsorptionModel,
                 f"{reason} at t = {i * dt:.6g} s", t=i * dt,
                 trajectory=MirrorTrajectory(time[:j], xa[:j], va[:j], ta[:j]))
         if i % store_every == 0:
-            time[j], xa[j], va[j], ta[j] = t1, x, v, t_r
+            time[j], xa[j], va[j], ta[j] = i * dt, x, v, t_r
             j += 1
 
     return MirrorTrajectory(time[:j], xa[:j], va[:j], ta[:j])

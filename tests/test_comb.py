@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from ringlock import comb
 from ringlock.comb import (MAX_SERIES_TERMS, adaptive_truncation,
                            comb_closed, comb_fourier_coeff, comb_hwhm,
                            comb_series, series_findings, series_tail_bound)
+
+
+def one_shot_series(s, beta, K):
+    """The series from one (size(s), K) outer product of its terms: the
+    reference for comb_series' blocks of points."""
+    k = np.arange(1, K + 1)
+    terms = np.exp(-k * beta) * np.cos(np.multiply.outer(s, k))
+    return 1.0 + 2.0 * terms.sum(axis=-1)
 
 
 def bisect_hwhm(beta, lo=1e-12, hi=np.pi, iters=200):
@@ -137,6 +146,26 @@ class TestSeries:
             assert tracemalloc.get_traced_memory()[1] < 2 ** 20
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("beta,n_points", [
+        (0.2, 512), (1e-3, 60), (0.05, 4096), (1e-2, 1000)])
+    def test_blocks_change_no_bit(self, beta, n_points, monkeypatch):
+        # each point's sum over k is one reduction at any block size, so
+        # blocks of 1 row, of 7 rows and of the default size all give the
+        # one-shot outer product's bits; (1e-3, 60) and (0.05, 4096) span
+        # several default blocks (27 and 1560 points), and a scalar s
+        # still gives a float
+        k = adaptive_truncation(beta)
+        s = np.linspace(-np.pi, np.pi, n_points)
+        want = one_shot_series(s, beta, k)
+        for block in (1, 7 * k, comb.SERIES_BLOCK_TERMS):
+            monkeypatch.setattr(comb, "SERIES_BLOCK_TERMS", block)
+            assert np.array_equal(comb_series(s, beta, k), want), block
+            assert np.array_equal(comb_series(s.reshape(-1, 4), beta, k),
+                                  want.reshape(-1, 4)), block
+        scalar = comb_series(0.3, beta, k)
+        assert type(scalar) is float
+        assert scalar == one_shot_series(0.3, beta, k)
 
 
 class TestFourierCoeff:

@@ -225,6 +225,10 @@ class TestSimulate:
         t_end = 5.0 / mech.gamma_m  # ten energy decay times
         traj = simulate(mech, absorption, IntensityDrive.cw(1.0), x0=1e-9,
                         v0=0.0, t_end=t_end, dt=dt, store_every=4)
+        # sample k holds step i = 4k, stored at time i*dt exactly
+        n_steps = int(round(t_end / dt))
+        assert np.array_equal(traj.time,
+                              np.arange(0, n_steps + 1, 4) * dt)
         energy = 0.5 * mech.m_m * (traj.v ** 2
                                    + (mech.omega_m * traj.x) ** 2)
         sl = slice(traj.time.size // 20, None)
@@ -243,22 +247,6 @@ class TestSimulate:
                         store_every=50)
         t_pred = l0 * absorption.a_h0 / mech.kappa_m
         assert traj.t_r_rel[-1] == pytest.approx(t_pred, rel=1e-6)
-
-    def test_comb_drive_mean_heating(self):
-        # unit-mean pulse train gives the same average temperature as CW
-        mech = MechParams(m_m=1e-12, omega_m=2 * np.pi * 4e5,
-                          gamma_m=0.0, theta_ph=0.0, theta_fh=0.0,
-                          kappa_m=2 * np.pi * 4e5 * 0.05)
-        absorption = AbsorptionModel(1e5, 0.0)
-        drive = IntensityDrive.comb(1.0, beta=0.4,
-                                    omega_pulse=mech.omega_m * 0.31)
-        dt = 2 * np.pi / (400 * mech.omega_m)
-        traj = simulate(mech, absorption, drive, x0=0.0, v0=0.0,
-                        t_end=400.0 / mech.kappa_m * 0.5, dt=dt,
-                        store_every=20)
-        t_pred = absorption.a_h0 / mech.kappa_m
-        tail = traj.t_r_rel[traj.time > 100.0 / mech.kappa_m * 0.5]
-        assert np.mean(tail) == pytest.approx(t_pred, rel=2e-3)
 
     def test_step_guard_and_store_every(self):
         mech = small_mirror()
@@ -347,11 +335,12 @@ class TestSimulate:
 
 def rk4_si_reference(mech, absorption, drive, x0, v0, dt, n):
     """(x, v, T_R) stepped in SI by engine.rk4_step, from drive_intensity
-    and AbsorptionModel.value: an independent route to simulate()."""
-    def derivative(t, y):
+    and AbsorptionModel.value: an independent route to simulate().  Every
+    drive law is autonomous, so the derivative ignores rk4_step's time."""
+    def derivative(_, y):
         x, v, t_r = y
         w = mech.omega_m + mech.theta_ph * t_r
-        heat = drive_intensity(drive, mech, absorption, t, x, v, t_r) \
+        heat = drive_intensity(drive, mech, absorption, x, v, t_r) \
             * absorption.value(x)
         return np.array([v,
                          -2.0 * mech.gamma_m * v - w * w * x
@@ -369,17 +358,17 @@ class TestSimulateReference:
         ("closed_loop", 0.0), ("closed_loop", -2e3),
         ("closed_loop_mid_beta", -2e3), ("closed_loop_at_rest", -2e3),
         ("closed_loop_red", -2e3), ("closed_loop_no_coupling", -2e3),
-        ("cw", -2e3), ("comb", -2e3)])
+        ("cw", -2e3)])
     def test_matches_si_rk4(self, mode, theta_ph):
         # simulate()'s fused RK4 against engine.rk4_step over
         # drive_intensity: both step the same SI equations, so they agree
         # to rounding.
         # The closed loop's beta = t_n/(2 mu_M) sits at beta_floor for a
-        # coupling of 1e4 omega_m |k_A1| and near 0.5, between the floor and
-        # the flat cap 30, for omega_m |k_A1|; a start at rest has amplitude
-        # 0, so beta = 30 and psi = 0 at the first stage.  Red detuning
-        # (k_A1 > 0) puts the pulse peak at psi = pi, and a coupling of 0
-        # keeps the flat comb at the mirror's own phase
+        # coupling of 1e4 omega_m |k_A1| and near 0.5, above the floor, for
+        # omega_m |k_A1|; a start at rest has amplitude 0, so beta = inf
+        # (r = 0, the flat train) and psi = 0 at the first stage.  Red
+        # detuning (k_A1 > 0) puts the pulse peak at psi = pi, and a
+        # coupling of 0 keeps the flat comb at the mirror's own phase
         omega_m = 2 * np.pi * 4e5
         mech = MechParams(m_m=1e-12, omega_m=omega_m, gamma_m=0.05 * omega_m,
                           theta_ph=theta_ph, theta_fh=-1e-9,
@@ -402,8 +391,6 @@ class TestSimulateReference:
             "closed_loop_no_coupling": IntensityDrive.closed_loop(
                 l0, 0.0, beta_floor=0.05, t_n=t_n),
             "cw": IntensityDrive.cw(l0),
-            "comb": IntensityDrive.comb(l0, beta=0.4,
-                                        omega_pulse=0.31 * omega_m),
         }[mode]
         if mode == "closed_loop_at_rest":
             a0 = 0.0
@@ -773,10 +760,9 @@ class TestClosedLoopDrive:
         # analyze after the thermal equilibrium has settled (t >> 1/kappa)
         late = traj.time > 0.85 * traj.time[-1]
         x_late = traj.x[late]
-        lh = np.array([drive_intensity(drive, mech, absorption, t, x, v, tr)
-                       for t, x, v, tr in
-                       zip(traj.time[late], x_late, traj.v[late],
-                           traj.t_r_rel[late])])
+        lh = np.array([drive_intensity(drive, mech, absorption, x, v, tr)
+                       for x, v, tr in
+                       zip(x_late, traj.v[late], traj.t_r_rel[late])])
         a_h = absorption.a_h0 * (1.0 + absorption.k_a1 * x_late)
         # pulse centers: local maxima of the drive above 10x the mean
         big = lh > 10.0 * drive.l0
@@ -798,11 +784,11 @@ class TestClosedLoopDrive:
                                            t_n=1.0)
         # amplitude chosen so t_n/(2 c a) = 2.0
         a = 0.25
-        peak = drive_intensity(drive, mech, absorption, 0.0, a, 0.0, 0.0)
+        peak = drive_intensity(drive, mech, absorption, a, 0.0, 0.0)
         from ringlock.comb import comb_closed
         assert peak == pytest.approx(comb_closed(0.0, 2.0), rel=1e-9)
         # tiny amplitude: effectively flat at L0
-        tiny = drive_intensity(drive, mech, absorption, 0.0, 1e-12, 0.0, 0.0)
+        tiny = drive_intensity(drive, mech, absorption, 1e-12, 0.0, 0.0)
         assert tiny == pytest.approx(1.0, rel=1e-9)
 
     @pytest.mark.parametrize("k_a1", [-1e4, 1e4])
@@ -840,10 +826,9 @@ class TestClosedLoopDrive:
             states = [(x_eq + amp * np.cos(p), -omega_m * amp * np.sin(p))
                       for p in phases] + [(x_eq, 0.0)]
             for x, v in states:
-                want = drive_intensity(drive, mech, absorption, 0.0, x, v,
-                                       t_r) * absorption.value(x) \
-                    - mech.kappa_m * t_r
-                got = rhs(0.0, x, v, t_r)[2]
+                want = drive_intensity(drive, mech, absorption, x, v, t_r) \
+                    * absorption.value(x) - mech.kappa_m * t_r
+                got = rhs(x, v, t_r)[2]
                 worst = max(worst, abs(got - want) / abs(want))
         assert worst <= 1e-14
 
@@ -871,20 +856,19 @@ class TestClosedLoopDrive:
                 l0, coupling, beta_floor=0.05, t_n=t_n), mech, absorption)
             for x, v in states[:1] if coupling else states:
                 want = l0 * absorption.value(x) - mech.kappa_m * t_r
-                got = rhs(0.0, x, v, t_r)[2]
+                got = rhs(x, v, t_r)[2]
                 assert abs(got - want) <= 1e-14 * abs(want), (coupling, x, v)
 
     def test_drive_validation(self):
         with pytest.raises(ValueError):
             IntensityDrive(l0=-1.0)
-        # zero and positive linewidths below the comb's BETA_MIN: the
+        # zero and positive floors below the comb's BETA_MIN: the
         # constructor is the only check simulate's fused laws rely on
-        for beta in (0.0, 1e-8):
-            with pytest.raises(ValueError):
-                IntensityDrive.comb(1.0, beta=beta, omega_pulse=1.0)
         for beta_floor in (0.0, 1e-7):
             with pytest.raises(ValueError):
                 IntensityDrive.closed_loop(1.0, coupling=1.0,
                                            beta_floor=beta_floor, t_n=1.0)
-        with pytest.raises(ValueError):
-            IntensityDrive(l0=1.0, mode="sawtooth")
+        # "comb" names no drive: the modes are cw and closed_loop
+        for mode in ("sawtooth", "comb"):
+            with pytest.raises(ValueError, match="unknown drive mode"):
+                IntensityDrive(l0=1.0, mode=mode)

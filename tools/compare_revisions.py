@@ -16,7 +16,7 @@ from there, so uncommitted files play no part.  Four records are written to
 - ``traced_mml_search``: one ``--trace 1`` run of ``mml-search`` per side,
   with the per-operation medians of the threshold search's layers.
 - ``kernels``: ``thermomech.simulate``'s microseconds per step in each
-  drive mode (``cw``, ``comb``, ``closed_loop``; 8000 steps each), and
+  drive mode (``cw``, ``closed_loop``; 8000 steps each), and
   in the closed loop below its floor linewidth (``closed_loop_mid``),
   ``lattice.run_lattice``'s microseconds per step on the ``lattice-chain``
   chain (20 000 steps after the default burn-in of 10 000, which the
@@ -25,12 +25,15 @@ from there, so uncommitted files play no part.  Four records are written to
   ``adler.integrate_adler``'s microseconds per step (i_b = 1.2,
   dtau = 0.01, 20 000 steps), ``engine.welch_psd``'s microseconds per
   8192-sample segment on one ``adler-sweep`` column of 65 536 samples,
-  and ``cli._write_table``'s microseconds per cell on a 4097 x 4 float64
-  table written to a temporary directory.  Each
+  ``cli._write_table``'s microseconds per cell on a 4097 x 4 float64
+  table written to a temporary directory, and
+  ``lattice.ensemble_intensity``'s microseconds per sample on criterion
+  C3's ensemble (2000 Gibbs samples of 64 modes, 48 points).  A process
+  times each kernel as the least of 5 calls.  Each
   repeat runs one fresh process per side, the side that runs first
   alternating, and each kernel gets its quartiles over the repeats on
-  each side.  No workload runs the CW or comb step, which shares the RK4
-  loop with the closed loop, nor the closed loop below its floor.
+  each side.  No workload runs the CW step, which shares the RK4 loop
+  with the closed loop, nor the closed loop below its floor.
 - ``byte_identity``: the ``seo``/``mml`` threshold configs below and one
   config of every other experiment, run through ``ringlock.cli.main`` on
   both sides.  Tables must match byte for byte, and manifests once
@@ -100,31 +103,40 @@ OTHER_CONFIGS = [
         "omega_m": 2 * np.pi * 368.2e3}}],
 ]
 
-# the kernels' inputs: the CW and comb drives at half the SEO threshold of
-# SEO_BASE (the comb off resonance, at 0.31 omega_m), and the closed loop at
-# 0.9 times the MML threshold of mml-search seed 901 op 0, from its probe's
-# seed amplitude: at its coupling (every stage at the floor linewidth), and
-# at 1e-4 of it (beta = t_n/(2 mu_M) about 0.5 at the seed, below the
-# floor); none of them halts within KERNEL_STEPS
+# the kernels' inputs: the CW drive at half the SEO threshold of SEO_BASE,
+# and the closed loop at 0.9 times the MML threshold of mml-search seed 901
+# op 0, from its probe's seed amplitude: at its coupling (every stage at the
+# floor linewidth), and at 1e-4 of it (beta = t_n/(2 mu_M) about 0.5 at the
+# seed, below the floor); none of them halts within KERNEL_STEPS
 KERNEL_STEPS = 8000
 LATTICE_KERNEL_STEPS = 20_000   # run_lattice's n_steps, after its burn-in
 ADLER_KERNEL_STEPS = 20_000     # integrate_adler's steps at dtau = 0.01
 KERNEL_REPEATS = 9      # interleaved repeats of the kernel timings
-# times each kernel once in the checkout on sys.path and prints one JSON
-# line: simulate's microseconds per step in each drive mode and in the
-# closed loop below its floor, run_lattice's microseconds per step (burn-in
-# included), _block_means's milliseconds per 200 x 64 block (mean of 20
-# calls), integrate_adler's microseconds per step, welch_psd's microseconds
-# per segment on the detector signal of the adler-sweep config's lowest
-# V_AM (mean of 20 calls), and _write_table's microseconds per cell (mean
-# of 10 tables)
+KERNEL_CALLS = 5        # calls per kernel in one process; the least counts
+# times each kernel as the least of KERNEL_CALLS calls in the checkout on
+# sys.path and prints one JSON line: simulate's microseconds per step in
+# each drive mode and in the closed loop below its floor, run_lattice's
+# microseconds per step (burn-in included), _block_means's milliseconds per
+# 200 x 64 block, integrate_adler's microseconds per step, welch_psd's
+# microseconds per segment on the detector signal of the adler-sweep
+# config's lowest V_AM, _write_table's microseconds per cell, and
+# ensemble_intensity's microseconds per sample
 KERNEL_DRIVER = """
 import json, math, sys, tempfile, time
 from pathlib import Path
 import numpy as np
 from ringlock import adler, cli, engine, lattice, thermomech as tm
-steps, seo, mml, chain, chain_steps, adl, adler_steps = json.loads(
+steps, seo, mml, chain, chain_steps, adl, adler_steps, calls = json.loads(
     sys.argv[1])
+
+def least(call):
+    # the least time of `calls` calls of call(), and the last one's result
+    best = math.inf
+    for _ in range(calls):
+        start = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - start)
+    return best, result
 
 def us_per_step(p, drive_of, x0):
     mech = tm.MechParams(p["m_m"], p["omega_m"], p["gamma_m"],
@@ -132,9 +144,8 @@ def us_per_step(p, drive_of, x0):
     absorption = tm.AbsorptionModel(p["a_h0"], p["k_a1"])
     dt = 2 * math.pi / (p["steps_per_cycle"] * p["omega_m"])
     drive = drive_of(mech, absorption)
-    start = time.perf_counter()
-    tm.simulate(mech, absorption, drive, x0, 0.0, steps * dt, dt, 10)
-    return (time.perf_counter() - start) / steps * 1e6
+    return least(lambda: tm.simulate(mech, absorption, drive, x0, 0.0,
+                                     steps * dt, dt, 10))[0] / steps * 1e6
 
 half_seo = lambda m, a: 0.5 * tm.seo_threshold(m, a)
 closed_loop = lambda scale: lambda m, a: tm.IntensityDrive.closed_loop(
@@ -144,25 +155,18 @@ mml_x0 = mml["t_n"] / (mml["omega_m"] * abs(mml["k_a1"]))
 out = {
     "cw": us_per_step(seo, lambda m, a: tm.IntensityDrive.cw(
         half_seo(m, a)), seo["x0"]),
-    "comb": us_per_step(seo, lambda m, a: tm.IntensityDrive.comb(
-        half_seo(m, a), 0.4, 0.31 * seo["omega_m"]), seo["x0"]),
     "closed_loop": us_per_step(mml, closed_loop(1.0), mml_x0),
     "closed_loop_mid": us_per_step(mml, closed_loop(1e-4), mml_x0),
 }
 config = lattice.LatticeConfig(chain["n_modes"], chain["mu_m"], chain["t_n"],
                                chain["dt"])
-start = time.perf_counter()
-stats = lattice.run_lattice(config, chain_steps)
-out["run_lattice"] = (time.perf_counter() - start) \
-    / round(stats.final_state.time / config.dt) * 1e6
+elapsed, stats = least(lambda: lattice.run_lattice(config, chain_steps))
+out["run_lattice"] = elapsed / round(stats.final_state.time / config.dt) * 1e6
 block = np.cumsum(np.random.default_rng(0).normal(0.0, 0.3, (200, 64)), axis=1)
-start = time.perf_counter()
-for _ in range(20):
-    lattice._block_means(block, 1.0, 10, False)
-out["block_means"] = (time.perf_counter() - start) / 20 * 1e3
-start = time.perf_counter()
-adler.integrate_adler(1.2, 0.0, adler_steps * 0.01, 0.01)
-out["integrate_adler"] = (time.perf_counter() - start) / adler_steps * 1e6
+out["block_means"] = least(
+    lambda: lattice._block_means(block, 1.0, 10, False))[0] * 1e3
+out["integrate_adler"] = least(lambda: adler.integrate_adler(
+    1.2, 0.0, adler_steps * 0.01, 0.01))[0] / adler_steps * 1e6
 params = adler.AdlerParams.from_threshold(adl["omega_am"], adl["omega_r"],
                                           adl["v_am0"], adl["v_min"])
 rate = params.zeta_am * params.v_am
@@ -170,17 +174,19 @@ rate_hz = adl["sample_rate"]
 t = np.arange(int(adl["duration"] * rate_hz)) / rate_hz
 phi = adler.closed_form_phase(adler.normalized_bias(params), abs(rate) * t)
 signal = np.cos(params.omega_am * t - np.sign(rate) * phi)
-start = time.perf_counter()
-for _ in range(20):
-    segments = engine.welch_psd(signal, rate_hz, 8192).segments
-out["welch_psd"] = (time.perf_counter() - start) / (20 * segments) * 1e6
+elapsed, psd = least(lambda: engine.welch_psd(signal, rate_hz, 8192))
+out["welch_psd"] = elapsed / psd.segments * 1e6
 columns = list(np.random.default_rng(0).normal(size=(4, 4097)))
 manifest = cli.RunManifest("kernels", {}, "", "", 0)
 with tempfile.TemporaryDirectory() as tmp:
-    start = time.perf_counter()
-    for _ in range(10):
-        cli._write_table(manifest, Path(tmp), "table", list("abcd"), columns)
-    out["write_table"] = (time.perf_counter() - start) / (10 * 4 * 4097) * 1e6
+    out["write_table"] = least(lambda: cli._write_table(
+        manifest, Path(tmp), "table", list("abcd"), columns))[0] \
+        / (4 * 4097) * 1e6
+thetas = lattice.sample_gibbs(0.1, 64, seed=30, n_samples=2000)
+amps = lattice.ModeAmplitudes(r=np.ones(64))
+s_grid = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+out["ensemble_intensity"] = least(lambda: lattice.ensemble_intensity(
+    thetas, amps, s_grid))[0] / len(thetas) * 1e6
 print(json.dumps(out))
 """
 
@@ -295,7 +301,7 @@ def kernels(work):
                          make_config("mml-search", 901, 0)["parameters"],
                          LATTICE_BASE, LATTICE_KERNEL_STEPS,
                          make_config("adler-sweep", 901, 0)["parameters"],
-                         ADLER_KERNEL_STEPS])
+                         ADLER_KERNEL_STEPS, KERNEL_CALLS])
     runs = {side: [] for side in SIDES}
     for r in range(KERNEL_REPEATS):
         for side in (SIDES if r % 2 else SIDES[::-1]):
@@ -305,13 +311,15 @@ def kernels(work):
                                  text=True).stdout
             runs[side].append(json.loads(out))
     record = {"protocol": f"{KERNEL_REPEATS} repeats; each runs one process "
-                          "per side, the side that runs first alternating",
-              "units": {"cw": "us/step", "comb": "us/step",
-                        "closed_loop": "us/step",
+                          "per side, the side that runs first alternating; "
+                          f"a process times each kernel as the least of "
+                          f"{KERNEL_CALLS} calls",
+              "units": {"cw": "us/step", "closed_loop": "us/step",
                         "closed_loop_mid": "us/step", "run_lattice": "us/step",
                         "block_means": "ms/block",
                         "integrate_adler": "us/step",
-                        "welch_psd": "us/segment", "write_table": "us/cell"},
+                        "welch_psd": "us/segment", "write_table": "us/cell",
+                        "ensemble_intensity": "us/sample"},
               "steps": KERNEL_STEPS,
               "run_lattice_steps": LATTICE_KERNEL_STEPS,
               "integrate_adler_steps": ADLER_KERNEL_STEPS}
