@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comb import comb_closed
-from .engine import (InsufficientDataError, SpectrumResult, require,
-                     rk4_step, welch_psd)
+from .engine import (SpectrumResult, require, rk4_step, segment_findings,
+                     welch_psd)
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,11 @@ def integrate_adler(i_b: float, phi0: float, tau_end: float,
     phi[0] = phi0
     state = float(phi0)
 
-    def rhs(_t, y):
+    def rhs(y):
         return i_b - math.sin(y)
 
     for i in range(1, n + 1):
-        state = rk4_step(state, rhs, (i - 1) * dtau, dtau)
+        state = rk4_step(state, rhs, dtau)
         phi[i] = state
     return PhaseTrajectory(tau=np.arange(n + 1) * dtau, phi=phi)
 
@@ -184,11 +184,11 @@ def constraint_findings(omega_am: float, omega_r: float, duration: float,
 
     The detuning must be nonzero (:meth:`AdlerParams.from_threshold`
     checks it), and the detector signal of int(duration*sample_rate)
-    samples must hold one Welch segment of the default length
-    (:func:`pd_spectrum_sweep` checks it).  The CLI's config validation
-    checks both here.
+    samples must hold one segment of the default Welch length
+    (:func:`ringlock.engine.segment_findings`, which :func:`welch_psd`
+    checks).  The CLI's config validation checks both here.
     """
-    return _detuning_findings(omega_am, omega_r) + _segment_findings(
+    return _detuning_findings(omega_am, omega_r) + segment_findings(
         *_signal_shape(duration, sample_rate, None))
 
 
@@ -203,20 +203,13 @@ def _detuning_findings(omega_am: float, omega_r: float) -> list[str]:
 
 def _signal_shape(duration: float, sample_rate: float,
                   segment_len: int | None):
-    """(samples, Welch segment length) of a sweep's detector signal; the
+    """(samples, Welch's segment length) of a sweep's detector signal; the
     default length is about an eighth of the signal, rounded down to a
     power of two, and at least 4."""
     n_t = int(duration * sample_rate)
     if segment_len is None:
         segment_len = 2 ** int(np.floor(np.log2(max(n_t // 8, 4))))
     return n_t, segment_len
-
-
-def _segment_findings(n_t: int, segment_len: int) -> list[str]:
-    if n_t < segment_len:
-        return [f"the signal of {n_t} samples (duration*sample_rate) is "
-                f"shorter than one Welch segment of {segment_len}"]
-    return []
 
 
 def pd_spectrum_sweep(params_base: AdlerParams, v_am_grid,
@@ -238,7 +231,6 @@ def pd_spectrum_sweep(params_base: AdlerParams, v_am_grid,
         raise ValueError("duration and sample_rate must be positive")
 
     n_t, segment_len = _signal_shape(duration, sample_rate, segment_len)
-    require(_segment_findings(n_t, segment_len), InsufficientDataError)
     t = np.arange(n_t) / sample_rate
 
     notes = []

@@ -152,7 +152,15 @@ class RunManifest:
     derived: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+        """Strict JSON: a non-finite number, which strict parsers reject,
+        is a handler's defect and raises ``RuntimeError``; a handler writes
+        ``null`` with its reason in a sibling field instead."""
+        try:
+            return json.dumps(dataclasses.asdict(self), indent=2,
+                              sort_keys=True, allow_nan=False)
+        except ValueError as err:
+            raise RuntimeError(f"manifest of {self.experiment!r}: {err}") \
+                from err
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:
@@ -407,16 +415,23 @@ def _run_threshold(p, manifest, out_dir):
         a_h0=p["a_h0"], k_a1=p["k_a1"], k_a2=p["k_a2"])
     l_star = thermomech.mml_threshold(mech, absorption, p["t_n"]) if mml \
         else thermomech.seo_threshold(mech, absorption)
+    if not np.isfinite(l_star):
+        manifest.derived.update(threshold_formula=None, note=(
+            "stabilizing sign combination: no finite threshold"))
+        return
     manifest.derived["threshold_formula"] = l_star
-    if mml and np.isfinite(l_star):
+    if mml:
         seo_opposite = thermomech.seo_threshold(
             mech, dataclasses.replace(absorption, k_a1=-absorption.k_a1))
-        manifest.derived["seo_threshold_opposite_detuning"] = seo_opposite
-        manifest.derived["threshold_ratio"] = l_star / seo_opposite
-    if not np.isfinite(l_star):
-        manifest.derived["note"] = ("stabilizing sign combination: "
-                                    "no finite threshold")
-        return
+        if np.isfinite(seo_opposite):
+            manifest.derived["seo_threshold_opposite_detuning"] = seo_opposite
+            manifest.derived["threshold_ratio"] = l_star / seo_opposite
+        else:
+            manifest.derived.update(
+                seo_threshold_opposite_detuning=None, threshold_ratio=None,
+                opposite_detuning_note=("stabilizing sign combination on "
+                                        "the opposite detuning: no finite "
+                                        "SEO threshold"))
     # the steady thermal shift Theta_PH*T_R at the largest L0 probed: at
     # -omega_m or below, simulate() halts every such probe on its
     # thermal-frequency guard, so the classification says nothing
@@ -451,7 +466,8 @@ def _run_threshold(p, manifest, out_dir):
         "l0": l0,
         "l0_over_threshold": p["l0_factor"],
         "amplitude_start": abs(x0),
-        "amplitude_ratio": ratio,
+        # a halted probe's ratio is inf: halted_at says why it is null
+        "amplitude_ratio": ratio if halted is None else None,
         "classification": "grew" if grew else "decayed",
         "halted_at": halted,
     })

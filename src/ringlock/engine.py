@@ -26,7 +26,9 @@ import numpy as np
 class IntegrationError(ArithmeticError):
     """An integration left its domain or stopped being finite.
 
-    ``t`` is the end time of the step that failed; ``trajectory``, when
+    ``t`` is the end time of the step that failed, set only by an
+    integrator that keeps a clock (:func:`ringlock.thermomech.simulate`'s
+    :class:`ringlock.thermomech.InstabilityError`); ``trajectory``, when
     the integrator keeps one, holds the samples stored before it.
     """
 
@@ -111,21 +113,22 @@ def normal_draws(stream: RngStream, n: int) -> np.ndarray:
     return gen.standard_normal(n)
 
 
-def rk4_step(state, derivative, t: float, dt: float):
-    """One classical fourth-order Runge-Kutta step.
+def rk4_step(state, derivative, dt: float):
+    """One classical fourth-order Runge-Kutta step of the autonomous law
+    d(state)/dt = derivative(state).
 
-    ``state`` may be a float or an array; ``derivative(t, state)`` must
-    return the same kind (an array of the same shape).  A scalar ODE stepped
-    on Python floats avoids numpy's per-call overhead.  Raises
+    ``state`` may be a float or an array; ``derivative(state)`` must return
+    the same kind (an array of the same shape).  A scalar ODE stepped on
+    Python floats avoids numpy's per-call overhead.  Raises
     :class:`IntegrationError` if the result is not finite.
     """
-    k1 = derivative(t, state)
-    k2 = derivative(t + 0.5 * dt, state + (0.5 * dt) * k1)
-    k3 = derivative(t + 0.5 * dt, state + (0.5 * dt) * k2)
-    k4 = derivative(t + dt, state + dt * k3)
+    k1 = derivative(state)
+    k2 = derivative(state + (0.5 * dt) * k1)
+    k3 = derivative(state + (0.5 * dt) * k2)
+    k4 = derivative(state + dt * k3)
     out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
-        raise IntegrationError("non-finite state after RK4 step", t=t + dt)
+        raise IntegrationError("non-finite state after RK4 step")
     return out
 
 
@@ -143,22 +146,30 @@ class SpectrumResult:
     segments: int
 
 
+def segment_findings(n: int, segment_len: int) -> list[str]:
+    """The Welch rule that one segment of ``segment_len`` fits in a signal
+    of ``n`` samples; an empty list means it does.  :func:`welch_psd` and
+    the adler sweep's config validation check it here."""
+    if n < segment_len:
+        return [f"the signal of {n} samples (duration*sample_rate) is "
+                f"shorter than one Welch segment of {segment_len}"]
+    return []
+
+
 def welch_psd(signal: np.ndarray, sample_rate: float,
               segment_len: int) -> SpectrumResult:
     """Welch's one-sided PSD of a real signal (Welch, IEEE Trans. Audio
     Electroacoust. 15, 70 (1967)): periodic Hann window, 50% overlap, no
     detrending, density scaling.
 
-    ``segment_len`` must be a power of two no longer than the signal;
-    samples past the last whole segment are not used.
+    ``segment_len`` must be a power of two no longer than the signal
+    (:func:`segment_findings`); samples past the last whole segment are not
+    used.
     """
     signal = np.asarray(signal, dtype=float)
-    n = signal.size
     if segment_len < 2 or (segment_len & (segment_len - 1)) != 0:
         raise ValueError("segment_len must be a power of two")
-    if segment_len > n:
-        raise InsufficientDataError(
-            f"signal length {n} shorter than segment length {segment_len}")
+    require(segment_findings(signal.size, segment_len), InsufficientDataError)
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len)
                                 / segment_len)
     frames = np.lib.stride_tricks.sliding_window_view(

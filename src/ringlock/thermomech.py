@@ -422,19 +422,32 @@ def cw_fixed_point(mech: MechParams, absorption: AbsorptionModel,
 
     Solves the coupled equilibrium T = L0 A_H(x)/kappa,
     x = Theta_FH T / (m (w_m + Theta_PH T)^2) by fixed-point iteration, to
-    a step of 1e-15 relative (absolute below 1) or 200 iterations.
+    a step of 1e-15 relative (absolute below 1).  Raises
+    ``ArithmeticError`` when 200 iterations end unconverged (with
+    Theta_PH = k_A2 = 0 each iteration multiplies the error by the loop
+    gain 2 gamma_H0/kappa_m, so it fails once |gain| >= 1) or when the point
+    lies outside the model's domain, omega_tilde = w_m + Theta_PH T <= 0.
     """
     t_bar, x_bar = 0.0, 0.0
     for _ in range(200):
         w = mech.omega_m + mech.theta_ph * t_bar
         t_new = l0 * absorption.value(x_bar) / mech.kappa_m
         x_new = mech.theta_fh * t_new / (mech.m_m * w * w)
-        if abs(t_new - t_bar) <= 1e-15 * max(1.0, abs(t_new)) and \
-           abs(x_new - x_bar) <= 1e-15 * max(1.0, abs(x_new)):
-            t_bar, x_bar = t_new, x_new
-            break
+        converged = abs(t_new - t_bar) <= 1e-15 * max(1.0, abs(t_new)) \
+            and abs(x_new - x_bar) <= 1e-15 * max(1.0, abs(x_new))
         t_bar, x_bar = t_new, x_new
+        if converged:
+            break
+    else:
+        raise ArithmeticError(
+            f"the CW static point at L0 = {l0:.6g} did not converge in 200 "
+            f"fixed-point iterations (last T_R = {t_bar:.6g} K)")
     omega_tilde = mech.omega_m + mech.theta_ph * t_bar
+    if not omega_tilde > 0.0:
+        raise ArithmeticError(
+            f"the CW static point at L0 = {l0:.6g} has thermal frequency "
+            f"omega_m + Theta_PH*T_R = {omega_tilde:.6g} rad/s, outside the "
+            "model's domain (> 0)")
     return t_bar, x_bar, omega_tilde
 
 

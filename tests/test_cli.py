@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,14 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def strict_json(path):
+    """The JSON file at ``path``, parsed as a strict parser reads it:
+    ``NaN`` and ``+-Infinity`` are refused."""
+    def refuse(constant):
+        raise ValueError(f"{path}: non-standard constant {constant}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
 LATTICE_PARAMS = {"n_modes": 16, "mu_m": 1.0, "t_n": 0.2, "dt": 0.002,
@@ -266,8 +275,34 @@ class TestRunExperiment:
             "a_h0": 1e5, "k_a1": -1e4, "x0": 1e-8,
         }, 0, tmp_path)
         manifest = run_experiment(cfg)
-        assert manifest.derived["threshold_formula"] == np.inf
+        # no finite threshold is written null, with the note saying why
+        assert manifest.derived["threshold_formula"] is None
         assert "note" in manifest.derived
+        assert strict_json(tmp_path / "seo_manifest.json")["derived"][
+            "threshold_formula"] is None
+
+    def test_mml_without_opposite_seo_threshold(self, tmp_path):
+        # on red detuning at T_N = 3 omega_m the MML threshold is 3 times
+        # the SEO one, and the opposite (blue) detuning has no SEO
+        # threshold: it and the ratio are null, with a note saying why
+        omega_m = self.SEO_BASE["omega_m"]
+        params = dict(self.SEO_BASE, t_n=3.0 * omega_m,
+                      coupling=1e4 * omega_m * self.SEO_BASE["k_a1"],
+                      beta_floor=0.05, n_cycles=40, steps_per_cycle=50,
+                      search=False)
+        run_experiment(ExperimentConfig("mml", params, 0, tmp_path))
+        derived = strict_json(tmp_path / "mml_manifest.json")["derived"]
+        assert derived["threshold_formula"] == pytest.approx(
+            3.0 * thermomech.seo_threshold(
+                thermomech.MechParams(
+                    params["m_m"], omega_m, params["gamma_m"],
+                    params["theta_ph"], params["theta_fh"],
+                    params["kappa_m"]),
+                thermomech.AbsorptionModel(params["a_h0"], params["k_a1"])),
+            rel=1e-12)
+        assert derived["seo_threshold_opposite_detuning"] is None
+        assert derived["threshold_ratio"] is None
+        assert "opposite detuning" in derived["opposite_detuning_note"]
 
     def test_threshold_domain_note(self, tmp_path, monkeypatch):
         # an mml search whose steady thermal shift Theta_PH*L0*A_H0/kappa_m
@@ -298,6 +333,10 @@ class TestRunExperiment:
         # halted_at is the first probe's halt, at the time simulate reports
         assert derived["halted_at"] == halts[0].t > 0.0
         assert f"at t = {derived['halted_at']:.6g} s" in str(halts[0])
+        # its amplitude ratio, inf, is written null
+        assert derived["amplitude_ratio"] is None
+        assert strict_json(tmp_path / "hot" / "mml_manifest.json")[
+            "derived"]["halted_at"] == derived["halted_at"]
         assert "threshold_bracket" not in derived
         # at Theta_PH = 0 the shift is zero: no note, and a bracket
         derived = run_experiment(ExperimentConfig(
@@ -696,6 +735,26 @@ class TestMainEntry:
             "experiment": "comb", "parameters": {"beta": 0.2}})
         out = tmp_path / "out"
         with pytest.raises(TypeError, match="not JSON serializable"):
+            main(["run", str(cfg), "--out", str(out)])
+        assert "invalid config" not in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_manifest_value_is_a_program_failure(
+            self, tmp_path, capsys, monkeypatch, value):
+        # strict JSON has no NaN or Infinity: a handler that stores one
+        # ends in a traceback and leaves no manifest, not exit 2 for json's
+        # ValueError
+        import ringlock.cli as cli
+
+        def non_finite(p, manifest, out_dir):
+            manifest.derived["ratio"] = value
+        check, _ = cli._EXPERIMENTS["comb"]
+        monkeypatch.setitem(cli._EXPERIMENTS, "comb", (check, non_finite))
+        cfg = write_config(tmp_path, {
+            "experiment": "comb", "parameters": {"beta": 0.2}})
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="not JSON compliant"):
             main(["run", str(cfg), "--out", str(out)])
         assert "invalid config" not in capsys.readouterr().err
         assert list(out.iterdir()) == []

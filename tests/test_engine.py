@@ -4,7 +4,7 @@ from scipy import signal
 
 from ringlock.engine import (IntegrationError, InsufficientDataError,
                              RngStream, normal_draws, require, rk4_step,
-                             substream, welch_psd)
+                             segment_findings, substream, welch_psd)
 
 
 class TestNormalDraws:
@@ -72,13 +72,13 @@ class TestNormalDraws:
 class TestRk4:
     def test_harmonic_oscillator_energy_drift(self):
         # one period at dt = T/100: relative energy drift below 1e-7
-        def f(_t, y):
+        def f(y):
             return np.array([y[1], -y[0]])
 
         y = np.array([1.0, 0.0])
         dt = 2.0 * np.pi / 100.0
-        for i in range(100):
-            y = rk4_step(y, f, i * dt, dt)
+        for _ in range(100):
+            y = rk4_step(y, f, dt)
         energy = 0.5 * (y[0] ** 2 + y[1] ** 2)
         assert abs(energy - 0.5) / 0.5 < 1e-7
 
@@ -86,23 +86,26 @@ class TestRk4:
         # one step of x' = a x matches exp(a dt) to O(dt^5)
         a = -1.3
         for dt in (0.1, 0.05):
-            y = rk4_step(np.array([1.0]), lambda _t, y: a * y, 0.0, dt)
+            y = rk4_step(np.array([1.0]), lambda y: a * y, dt)
             err = abs(y[0] - np.exp(a * dt))
             assert err < abs(a * dt) ** 5 / 60.0
             # a float state takes the same arithmetic and stays a float
-            y_float = rk4_step(1.0, lambda _t, y: a * y, 0.0, dt)
+            y_float = rk4_step(1.0, lambda y: a * y, dt)
             assert type(y_float) is float and y_float == y[0]
 
     def test_halving_dt_gives_sixteenfold_improvement(self):
-        def f(t, y):
-            return np.array([np.sin(t * y[0]) + y[0] * 0.1])
+        # a time-dependent law, made autonomous by carrying t as the first
+        # state component, with t' = 1
+        def f(y):
+            t, u = y
+            return np.array([1.0, np.sin(t * u) + u * 0.1])
 
         def endpoint(dt):
-            y = np.array([0.7])
+            y = np.array([0.0, 0.7])
             n = int(round(2.0 / dt))
-            for i in range(n):
-                y = rk4_step(y, f, i * dt, dt)
-            return y[0]
+            for _ in range(n):
+                y = rk4_step(y, f, dt)
+            return y[1]
 
         exact = endpoint(1.0 / 4096.0)
         e1 = abs(endpoint(0.02) - exact)
@@ -110,14 +113,14 @@ class TestRk4:
         assert 12.0 < e1 / e2 < 20.0
 
     def test_observed_order_at_least_3_9(self):
-        def f(_t, y):
+        def f(y):
             return np.array([y[0] * (1.0 - y[0])])
 
         def endpoint(dt):
             y = np.array([0.1])
             n = int(round(3.0 / dt))
-            for i in range(n):
-                y = rk4_step(y, f, i * dt, dt)
+            for _ in range(n):
+                y = rk4_step(y, f, dt)
             return y[0]
 
         exact = endpoint(1.0 / 8192.0)
@@ -126,14 +129,14 @@ class TestRk4:
         assert order >= 3.9
 
     def test_nonfinite_raises(self):
-        def f(_t, y):
+        def f(y):
             return np.array([np.inf])
 
         with pytest.raises(IntegrationError):
-            rk4_step(np.array([1.0]), f, 0.0, 0.1)
+            rk4_step(np.array([1.0]), f, 0.1)
         with pytest.raises(IntegrationError) as err:
-            rk4_step(1.0, lambda _t, y: float("inf"), 0.25, 0.5)
-        assert err.value.t == 0.75     # the end of the failed step
+            rk4_step(1.0, lambda y: float("inf"), 0.5)
+        assert err.value.t is None     # the stepper keeps no clock
 
 
 class TestFailureContract:
@@ -208,6 +211,26 @@ class TestWelchPsd:
             welch_psd(x, 1.0, 100)          # not a power of two
         with pytest.raises(InsufficientDataError):
             welch_psd(x, 1.0, 128)          # longer than the signal
+
+    def test_segment_rule_stated_once(self):
+        # one rule, one text: the adler config's finding and welch_psd's
+        # error at duration*sample_rate = n samples and the default
+        # segment of 4 (an eighth of the signal, at least 4)
+        from ringlock.cli import ExperimentConfig, validate_config
+        assert segment_findings(4, 4) == []
+        findings = segment_findings(3, 4)
+        assert findings == ["the signal of 3 samples (duration*sample_rate) "
+                            "is shorter than one Welch segment of 4"]
+        adler = {"omega_am": 2333575.02, "omega_r": 2332946.70,
+                 "v_am0": 0.156, "v_min": 0.04, "v_max": 0.31, "n_v": 3,
+                 "sample_rate": 1.0}
+        for n, expected in ((4, []), (3, findings)):
+            assert validate_config(ExperimentConfig(
+                "adler", dict(adler, duration=float(n)))) == expected
+        with pytest.raises(InsufficientDataError) as err:
+            welch_psd(np.zeros(3), 1.0, 4)
+        assert [str(err.value)] == findings
+        welch_psd(np.zeros(4), 1.0, 4)
 
     def test_metadata(self):
         res = welch_psd(np.random.default_rng(0).standard_normal(4096),

@@ -336,8 +336,8 @@ class TestSimulate:
 def rk4_si_reference(mech, absorption, drive, x0, v0, dt, n):
     """(x, v, T_R) stepped in SI by engine.rk4_step, from drive_intensity
     and AbsorptionModel.value: an independent route to simulate().  Every
-    drive law is autonomous, so the derivative ignores rk4_step's time."""
-    def derivative(_, y):
+    drive law is autonomous, a function of the state alone."""
+    def derivative(y):
         x, v, t_r = y
         w = mech.omega_m + mech.theta_ph * t_r
         heat = drive_intensity(drive, mech, absorption, x, v, t_r) \
@@ -348,8 +348,8 @@ def rk4_si_reference(mech, absorption, drive, x0, v0, dt, n):
                          heat - mech.kappa_m * t_r])
 
     states = [np.array([x0, v0, 0.0])]
-    for i in range(n):
-        states.append(rk4_step(states[-1], derivative, i * dt, dt))
+    for _ in range(n):
+        states.append(rk4_step(states[-1], derivative, dt))
     return np.array(states).T
 
 
@@ -468,6 +468,39 @@ class TestLinearResponseOracle:
             3.0 * absorption.value(x_bar) / mech.kappa_m, rel=1e-12)
         assert x_bar == pytest.approx(
             mech.theta_fh * t_bar / (mech.m_m * w_t ** 2), rel=1e-12)
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 1.0])
+    def test_fixed_point_past_unit_loop_gain_raises(self, fraction):
+        # with Theta_PH = 0 each iteration multiplies the error by the loop
+        # gain 2 gamma_H0/kappa_m, -10 at the SEO threshold here: at -0.5 it
+        # converges to the static point T = (L0 A_H0/kappa_m)/(1 - gain),
+        # from -1 on it diverges, though that point still exists
+        mech = small_mirror(gamma_ratio=0.05)
+        absorption = AbsorptionModel(1e5, 1e4)
+        l_star = seo_threshold(mech, absorption)
+
+        def gain(l0):
+            return 2.0 * gamma_h0(mech, absorption, l0) / mech.kappa_m
+        l0 = 0.05 * l_star
+        assert cw_fixed_point(mech, absorption, l0)[0] == pytest.approx(
+            l0 * 1e5 / mech.kappa_m / (1.0 - gain(l0)), rel=1e-12)
+        l0 = fraction * l_star
+        assert gain(l0) <= -1.0
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            cw_fixed_point(mech, absorption, l0)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            linear_response_oracle(mech, absorption, l0, mech.omega_m)
+
+    def test_fixed_point_outside_domain_raises(self):
+        # the iteration converges, to a thermal frequency
+        # omega_m + Theta_PH*T_bar of -3.8e6 rad/s, where simulate() halts
+        mech = small_mirror(kappa_ratio=0.02, theta_ph=-2e3)
+        absorption = AbsorptionModel(1e5, 1e4)
+        l0 = 0.01 * seo_threshold(mech, absorption)
+        with pytest.raises(ArithmeticError, match=r"-3\.78941e\+06 rad/s"):
+            cw_fixed_point(mech, absorption, l0)
+        with pytest.raises(ArithmeticError, match="outside the model's"):
+            linear_response_oracle(mech, absorption, l0, mech.omega_m)
 
     def test_oracle_equivalence_random_sets(self):
         # ringdown-extracted (omega, gamma) from the full simulation vs the

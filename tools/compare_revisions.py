@@ -29,11 +29,13 @@ from there, so uncommitted files play no part.  Four records are written to
   table written to a temporary directory, and
   ``lattice.ensemble_intensity``'s microseconds per sample on criterion
   C3's ensemble (2000 Gibbs samples of 64 modes, 48 points).  A process
-  times each kernel as the least of 5 calls.  Each
-  repeat runs one fresh process per side, the side that runs first
-  alternating, and each kernel gets its quartiles over the repeats on
-  each side.  No workload runs the CW step, which shares the RK4 loop
-  with the closed loop, nor the closed loop below its floor.
+  times each kernel as the least of 5 calls.  After each seed's workload
+  pairs, one fresh process runs on each side, in that seed's side order,
+  so the kernel runs are spread over the pairs' stretch of the machine
+  rather than taken in one; each run stores ``os.getloadavg()[0]`` beside
+  its result, so a loaded stretch shows.  Each kernel gets its quartiles
+  over the seeds on each side.  No workload runs the CW step, which shares
+  the RK4 loop with the closed loop, nor the closed loop below its floor.
 - ``byte_identity``: the ``seo``/``mml`` threshold configs below and one
   config of every other experiment, run through ``ringlock.cli.main`` on
   both sides.  Tables must match byte for byte, and manifests once
@@ -46,7 +48,7 @@ from there, so uncommitted files play no part.  Four records are written to
 
 The workloads and the end-to-end metrics are those of ``BENCHMARK.json``,
 and every benchmark run lasts its ``run_seconds`` (40 s), so a seed takes
-about 4 minutes over three workloads.
+about 4 minutes over three workloads and its two kernel runs.
 """
 
 import argparse
@@ -111,7 +113,6 @@ OTHER_CONFIGS = [
 KERNEL_STEPS = 8000
 LATTICE_KERNEL_STEPS = 20_000   # run_lattice's n_steps, after its burn-in
 ADLER_KERNEL_STEPS = 20_000     # integrate_adler's steps at dtau = 0.01
-KERNEL_REPEATS = 9      # interleaved repeats of the kernel timings
 KERNEL_CALLS = 5        # calls per kernel in one process; the least counts
 # times each kernel as the least of KERNEL_CALLS calls in the checkout on
 # sys.path and prints one JSON line: simulate's microseconds per step in
@@ -258,8 +259,12 @@ def summarise(pairs, better):
 
 
 def run_pairs(work, seeds, seconds):
+    """The ``pairs`` record, and the kernel runs taken after each seed's
+    pairs: one process per side, in that seed's side order."""
     better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+    inputs = kernel_inputs(work)
     pairs = {w: [] for w in WORKLOADS}
+    kernel_runs = []
     for seed in seeds:
         order = SIDES if seed % 2 else SIDES[::-1]
         for workload in WORKLOADS:
@@ -275,8 +280,15 @@ def run_pairs(work, seeds, seconds):
             pairs[workload].append(record)
             log(f"seed {seed} {workload}: " + ", ".join(
                 f"{s} {record[s]['run_s']}" for s in SIDES))
-    return {w: {"summary": summarise(p, better), "pairs": p}
-            for w, p in pairs.items()}
+        run = {"seed": seed, "first": order[0], "loadavg_1min": {}}
+        for side in order:
+            run[side] = kernel_run(work / side, inputs)
+            run["loadavg_1min"][side] = os.getloadavg()[0]
+        kernel_runs.append(run)
+        log(f"seed {seed} kernels: load " + ", ".join(
+            f"{s} {run['loadavg_1min'][s]:.2f}" for s in SIDES))
+    return ({w: {"summary": summarise(p, better), "pairs": p}
+             for w, p in pairs.items()}, kernels(kernel_runs))
 
 
 def traced(work, seed, seconds):
@@ -292,28 +304,33 @@ def traced(work, seed, seconds):
     return record
 
 
-def kernels(work):
-    """Per-kernel quartiles on each side over KERNEL_REPEATS interleaved
-    fresh processes, and each median's ratio change/parent."""
+def kernel_inputs(work):
+    """The kernel driver's inputs, as its one JSON argument."""
     sys.path.insert(0, str(work / "change" / "bench"))
     from workloads import LATTICE_BASE, make_config
-    inputs = json.dumps([KERNEL_STEPS, SEO_BASE,
-                         make_config("mml-search", 901, 0)["parameters"],
-                         LATTICE_BASE, LATTICE_KERNEL_STEPS,
-                         make_config("adler-sweep", 901, 0)["parameters"],
-                         ADLER_KERNEL_STEPS, KERNEL_CALLS])
-    runs = {side: [] for side in SIDES}
-    for r in range(KERNEL_REPEATS):
-        for side in (SIDES if r % 2 else SIDES[::-1]):
-            env = dict(os.environ, PYTHONPATH=str(work / side / "src"))
-            out = subprocess.run([sys.executable, "-c", KERNEL_DRIVER, inputs],
-                                 env=env, check=True, capture_output=True,
-                                 text=True).stdout
-            runs[side].append(json.loads(out))
-    record = {"protocol": f"{KERNEL_REPEATS} repeats; each runs one process "
-                          "per side, the side that runs first alternating; "
-                          f"a process times each kernel as the least of "
-                          f"{KERNEL_CALLS} calls",
+    return json.dumps([KERNEL_STEPS, SEO_BASE,
+                       make_config("mml-search", 901, 0)["parameters"],
+                       LATTICE_BASE, LATTICE_KERNEL_STEPS,
+                       make_config("adler-sweep", 901, 0)["parameters"],
+                       ADLER_KERNEL_STEPS, KERNEL_CALLS])
+
+
+def kernel_run(checkout, inputs):
+    """One fresh kernel driver process on ``checkout``'s source, parsed."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", KERNEL_DRIVER, inputs], env=env, check=True,
+        capture_output=True, text=True).stdout)
+
+
+def kernels(runs):
+    """The ``kernels`` record of the seeds' kernel runs: per-kernel
+    quartiles on each side, and each median's ratio change/parent."""
+    record = {"protocol": "after each seed's workload pairs, one fresh "
+                          "process per side, in that seed's side order; a "
+                          "process times each kernel as the least of "
+                          f"{KERNEL_CALLS} calls; loadavg_1min is "
+                          "os.getloadavg()[0] as each process ended",
               "units": {"cw": "us/step", "closed_loop": "us/step",
                         "closed_loop_mid": "us/step", "run_lattice": "us/step",
                         "block_means": "ms/block",
@@ -324,12 +341,13 @@ def kernels(work):
               "run_lattice_steps": LATTICE_KERNEL_STEPS,
               "integrate_adler_steps": ADLER_KERNEL_STEPS}
     for side in SIDES:
-        record[side] = {k: quartiles([run[k] for run in runs[side]])
-                        for k in runs[side][0]}
+        record[side] = {k: quartiles([run[side][k] for run in runs])
+                        for k in runs[0][side]}
     record["median_ratio"] = {
         k: round(record["change"][k]["median"]
                  / record["parent"][k]["median"], 4)
         for k in record["parent"]}
+    record["runs"] = runs
     return record
 
 
@@ -483,11 +501,9 @@ def main(argv=None):
     }
     log("byte identity")
     record["byte_identity"] = byte_identity(args.work)
-    log("kernels")
-    record["kernels"] = kernels(args.work)
     log("traced mml-search")
     record["traced_mml_search"] = traced(args.work, first, seconds)
-    record["pairs"] = run_pairs(args.work, seeds, seconds)
+    record["pairs"], record["kernels"] = run_pairs(args.work, seeds, seconds)
     record["env"]["loadavg_end"] = list(os.getloadavg())
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
