@@ -13,6 +13,6 @@ Subpackages by physical layer:
 - :mod:`ringlock.cli`        config-driven experiment runner
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from . import adler, comb, engine, lattice, pulses, thermomech  # noqa: F401

@@ -360,9 +360,16 @@ def _run_pulse(p, manifest, out_dir):
     n = p["n"]
     traj = pulses.roundtrip_iterate(g0, g_m, n)
     idx = np.arange(n + 1)
-    closed = np.array([pulses.continuous_solution(g_m, float(i), 0.0)
-                       for i in idx]) if g0 == 0 else np.full(n + 1, np.nan,
-                                                              dtype=complex)
+    # the continuum law through g0 at tau_R = 0: tau_R0 = -artanh(g0/g_m)/g_m,
+    # infinite at the fixed points g0 = +/-g_m, where the law holds still;
+    # at g_m = 0 != g0 it has no tanh form, and the columns are NaN
+    if g0 in (g_m, -g_m):
+        closed = np.full(n + 1, g0)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau0 = complex(-np.arctanh(np.complex128(g0) / g_m) / g_m)
+        closed = np.array([pulses.continuous_solution(g_m, float(i), tau0)
+                           for i in idx])
     _write_table(manifest, out_dir, "trajectory",
                  ["round_trip", "re_g", "im_g", "re_tanh", "im_tanh"],
                  [idx, traj.real, traj.imag, closed.real, closed.imag])

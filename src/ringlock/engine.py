@@ -151,8 +151,8 @@ def segment_findings(n: int, segment_len: int) -> list[str]:
     of ``n`` samples; an empty list means it does.  :func:`welch_psd` and
     the adler sweep's config validation check it here."""
     if n < segment_len:
-        return [f"the signal of {n} samples (duration*sample_rate) is "
-                f"shorter than one Welch segment of {segment_len}"]
+        return [f"the signal of {n} samples is shorter than one Welch "
+                f"segment of {segment_len}"]
     return []
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import RngStream, normal_draws, require
+from .engine import InsufficientDataError, RngStream, normal_draws, require
 
 BOUNDARIES = ("open_chain", "periodic")
 MAX_MU_DT = 0.1     # stability bound of the explicit Euler step
@@ -108,17 +108,11 @@ class LatticeConfig:
 
 @dataclass
 class LatticeState:
-    """Unwrapped mode phases at a given time."""
+    """Unwrapped mode phases at a given time, where a :func:`run_lattice`
+    run ended."""
 
     theta: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.ndim != 1:
-            raise ValueError("theta must be a 1-d vector")
-        if not np.all(np.isfinite(self.theta)):
-            raise ValueError("theta entries must be finite")
+    time: float
 
 
 @dataclass(frozen=True)
@@ -175,29 +169,6 @@ def _drift(theta: np.ndarray, coeff: float, periodic: bool):
     return periodic_drift
 
 
-def step_lattice(state: LatticeState, config: LatticeConfig,
-                 stream: RngStream | None = None) -> LatticeState:
-    """One explicit stochastic-Euler step.
-
-    theta <- theta + dt*drift + sqrt(2*T_N*dt)*xi with xi standard normal.
-    A fresh stream seeded from the config is used when none is passed, so
-    repeated single-step calls with the same stream are reproducible.
-    """
-    theta = state.theta
-    if theta.size != config.n_modes:
-        raise ValueError("state size does not match config")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("non-finite state")
-    if stream is None:
-        stream = RngStream(config.seed)
-    new = theta + _drift(theta, config.dt * config.mu_m,
-                         config.boundary == "periodic")()
-    if config.t_n > 0.0:
-        new = new + np.sqrt(2.0 * config.t_n * config.dt) * \
-            normal_draws(stream, config.n_modes)
-    return LatticeState(theta=new, time=state.time + config.dt)
-
-
 def _links(theta: np.ndarray, periodic: bool) -> np.ndarray:
     """Neighbor differences theta_{m-1} - theta_m along the last axis of
     ``theta``; the periodic chain's wrap link theta_{N-1} - theta_0 comes
@@ -208,13 +179,15 @@ def _links(theta: np.ndarray, periodic: bool) -> np.ndarray:
     return d
 
 
-def hamiltonian(state: LatticeState, config: LatticeConfig) -> float:
-    """H = -mu_M * sum over neighbor pairs of cos(theta_{m-1} - theta_m).
+def hamiltonian(theta, config: LatticeConfig):
+    """H = -mu_M * sum over neighbor pairs of cos(theta_{m-1} - theta_m) for
+    the phase vectors along the last axis of ``theta``; a float for one.
 
-    The drift in :func:`step_lattice` is exactly -dH/dtheta_m.
+    The drift of :func:`run_lattice` (:func:`_drift`) is exactly
+    -dH/dtheta_m.
     """
-    d = _links(state.theta, config.boundary == "periodic")
-    return float(-config.mu_m * np.sum(np.cos(d)))
+    d = _links(np.asarray(theta, dtype=float), config.boundary == "periodic")
+    return -config.mu_m * np.cos(d).sum(axis=-1)
 
 
 def sample_gibbs(beta_n: float, n_modes: int, seed: int,
@@ -230,8 +203,8 @@ def sample_gibbs(beta_n: float, n_modes: int, seed: int,
     Only the open chain is supported: a periodic chain constrains the
     differences to wind back to zero, which breaks their independence.
 
-    Returns an array of shape (n_samples, n_modes); a single sample can be
-    wrapped in :class:`LatticeState` directly.
+    Returns an array of shape (n_samples, n_modes), one phase vector per
+    row.
     """
     if not 0.0 <= beta_n <= 0.5:
         raise ValueError("beta_n must lie in [0, 0.5] (weak-noise regime)")
@@ -249,53 +222,52 @@ def sample_gibbs(beta_n: float, n_modes: int, seed: int,
     return theta
 
 
-def _intensity(thetas: np.ndarray, r: np.ndarray, s_grid) -> np.ndarray:
-    """V(s) = |sum_m r_m e^{i(m s + theta_m)}|^2 / N for the phase vectors
-    along the last axis of ``thetas``; the last axis of the result runs
-    over ``s_grid``."""
+def intensity_waveform(thetas, amps: ModeAmplitudes,
+                       s_grid: np.ndarray) -> np.ndarray:
+    """Single-realization intensity
+    V(s) = |sum_m r_m e^{i(m s + theta_m)}|^2 / N of the phase vectors along
+    the last axis of ``thetas``; the last axis of the result runs over
+    ``s_grid``.
+
+    Ensemble averaging is the caller's job (see :func:`ensemble_intensity`).
+    """
+    thetas = np.asarray(thetas, dtype=float)
     n_modes = thetas.shape[-1]
-    if r.size != n_modes:
+    if amps.r.size != n_modes:
         raise ValueError("amplitude and state size mismatch")
     m = np.arange(n_modes)
     basis = np.exp(1j * np.multiply.outer(m, np.asarray(s_grid, dtype=float)))
-    return np.abs((r * np.exp(1j * thetas)) @ basis) ** 2 / n_modes
-
-
-def intensity_waveform(state: LatticeState, amps: ModeAmplitudes,
-                       s_grid: np.ndarray) -> np.ndarray:
-    """Single-realization intensity V(s) = |sum_m r_m e^{i(m s + theta_m)}|^2 / N.
-
-    Ensemble averaging over states is the caller's job (see
-    :func:`ensemble_intensity`).
-    """
-    return _intensity(state.theta, amps.r, s_grid)
+    return np.abs((amps.r * np.exp(1j * thetas)) @ basis) ** 2 / n_modes
 
 
 def ensemble_intensity(thetas: np.ndarray, amps: ModeAmplitudes,
                        s_grid: np.ndarray):
     """Mean and standard error of V(s) over an ensemble of phase vectors.
 
-    ``thetas`` has shape (n_samples, n_modes).  Returns (mean, se), each of
-    the length of ``s_grid``.
+    ``thetas`` has shape (n_samples, n_modes) with n_samples >= 2, which
+    the standard error needs (:class:`InsufficientDataError` otherwise).
+    Returns (mean, se), each of the length of ``s_grid``.
     """
     thetas = np.asarray(thetas, dtype=float)
-    n_samples, _ = thetas.shape
-    v = _intensity(thetas, amps.r, s_grid)                # (n, S)
-    return v.mean(axis=0), v.std(axis=0, ddof=1) / np.sqrt(n_samples)
+    if thetas.ndim != 2 or len(thetas) < 2:
+        raise InsufficientDataError(
+            f"the standard error needs (n_samples, n_modes) phases with "
+            f"n_samples >= 2 (got shape {thetas.shape})")
+    v = intensity_waveform(thetas, amps, s_grid)          # (n, S)
+    return v.mean(axis=0), v.std(axis=0, ddof=1) / np.sqrt(len(thetas))
 
 
-def phase_correlation(trajectory, k: int) -> complex:
+def phase_correlation(thetas, k: int) -> complex:
     """Time-and-site average of e^{i(theta_{m-k} - theta_m)}.
 
-    ``trajectory`` is a sequence of :class:`LatticeState` (or an array of
-    phase vectors) sampled after burn-in.  The expected value in the
-    weak-noise steady state is exp(-|k|*beta_N), real up to sampling noise.
+    ``thetas`` holds phase vectors along its last axis, sampled after
+    burn-in: one vector, or (n_samples, n_modes).  The expected value in
+    the weak-noise steady state is exp(-|k|*beta_N), real up to sampling
+    noise.
     """
-    thetas = np.asarray([st.theta if isinstance(st, LatticeState) else st
-                         for st in trajectory], dtype=float)
-    n_modes = thetas.shape[1]
+    thetas = np.asarray(thetas, dtype=float)
     k = abs(int(k))
-    if k >= n_modes:
+    if k >= thetas.shape[-1]:
         raise ValueError("lag k must be smaller than the chain length")
     return _lag_correlations(thetas, [k])[0]
 

@@ -239,6 +239,30 @@ class TestRunExperiment:
             assert np.allclose(derived["final_g"], derived["fixed_point"],
                                rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("g_m", [0.1 + 0.02j, 0.1, 0.05j])
+    def test_pulse_tanh_columns_from_any_start(self, tmp_path, g_m):
+        # the continuum law g_m tanh(g_m (tau - tau0)) through g0, with
+        # tau0 = -artanh(g0/g_m)/g_m; at the fixed points g0 = +/-g_m tau0
+        # is infinite and the law is the constant g0
+        def tanh_columns(g0, name):
+            cfg = ExperimentConfig("pulse", {
+                "g_m_re": g_m.real, "g_m_im": g_m.imag, "g0_re": g0.real,
+                "g0_im": g0.imag, "n": 400}, 0, tmp_path / name)
+            run_experiment(cfg)
+            table = np.loadtxt(tmp_path / name / "pulse_trajectory.txt")
+            return table[:, 3] + 1j * table[:, 4]
+        g_m = complex(g_m)
+        g0 = 0.01 - 0.005j
+        law = tanh_columns(g0, "start")
+        tau0 = complex(-np.arctanh(g0 / g_m) / g_m)
+        want = [pulses.continuous_solution(g_m, float(i), tau0)
+                for i in range(401)]
+        assert law[0] == pytest.approx(g0, rel=1e-14)
+        assert np.allclose(law, want, rtol=1e-14, atol=0)
+        for fixed in (g_m, -g_m):
+            law = tanh_columns(fixed, f"fixed{fixed}")
+            assert np.array_equal(law, np.full(401, fixed))
+
     SEO_BASE = {
         "m_m": 1e-12, "omega_m": 2 * np.pi * 4e5,
         "gamma_m": 2 * np.pi * 4e5 * 0.005, "theta_ph": 0.0,

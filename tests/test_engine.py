@@ -219,8 +219,8 @@ class TestWelchPsd:
         from ringlock.cli import ExperimentConfig, validate_config
         assert segment_findings(4, 4) == []
         findings = segment_findings(3, 4)
-        assert findings == ["the signal of 3 samples (duration*sample_rate) "
-                            "is shorter than one Welch segment of 4"]
+        assert findings == ["the signal of 3 samples is shorter than one "
+                            "Welch segment of 4"]
         adler = {"omega_am": 2333575.02, "omega_r": 2332946.70,
                  "v_am0": 0.156, "v_min": 0.04, "v_max": 0.31, "n_v": 3,
                  "sample_rate": 1.0}

@@ -1,15 +1,13 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from ringlock.engine import RngStream, normal_draws
-from ringlock.lattice import (BOUNDARIES, LatticeConfig, LatticeState,
-                              ModeAmplitudes,
+from ringlock import lattice
+from ringlock.engine import InsufficientDataError, RngStream, normal_draws
+from ringlock.lattice import (BOUNDARIES, LatticeConfig, ModeAmplitudes,
                               ensemble_intensity, hamiltonian,
                               intensity_waveform, phase_correlation,
-                              run_lattice, sample_gibbs, step_lattice)
+                              run_lattice, sample_gibbs)
 
 
 def exact_link_variance(beta_n):
@@ -56,33 +54,23 @@ def vonmises_chain(beta_n, n_modes, n_samples, seed):
     return theta
 
 
+def drift_of(theta, cfg):
+    """The chain's drift dt*mu_M*(L_m - L_{m+1}) at ``theta``, through the
+    library's own Euler drift bound to a copy of it."""
+    return lattice._drift(np.array(theta, dtype=float), cfg.dt * cfg.mu_m,
+                          cfg.boundary == "periodic")().copy()
+
+
 class TestStepLattice:
+    """The lattice's Euler step: its drift and the config's step guards."""
+
     def test_uniform_phase_is_fixed_point(self):
         cfg = LatticeConfig(n_modes=8, mu_m=1.0, t_n=0.0, dt=0.01)
-        st = LatticeState(theta=np.full(8, 0.7))
-        out = step_lattice(st, cfg)
-        assert np.allclose(out.theta, st.theta, atol=1e-15)
-        assert out.time == pytest.approx(0.01)
+        assert np.allclose(drift_of(np.full(8, 0.7), cfg), 0.0, atol=1e-15)
 
     def test_alternating_phase_is_unstable_equilibrium(self):
         cfg = LatticeConfig(n_modes=6, mu_m=1.0, t_n=0.0, dt=0.01)
-        st = LatticeState(theta=np.array([0.0, np.pi] * 3))
-        out = step_lattice(st, cfg)
-        assert np.allclose(out.theta, st.theta, atol=1e-15)
-
-    def test_reproducible_with_stream(self):
-        cfg = LatticeConfig(n_modes=8, mu_m=1.0, t_n=0.3, dt=0.01, seed=5)
-        st = LatticeState(theta=np.zeros(8))
-        a = step_lattice(st, cfg, RngStream(5))
-        b = step_lattice(st, cfg, RngStream(5))
-        assert np.array_equal(a.theta, b.theta)
-
-    def test_rejects_nonfinite_state(self):
-        cfg = LatticeConfig(n_modes=8, mu_m=1.0, t_n=0.0, dt=0.01)
-        st = LatticeState(theta=np.zeros(8))
-        st.theta[3] = np.nan
-        with pytest.raises(ValueError):
-            step_lattice(st, cfg)
+        assert np.allclose(drift_of([0.0, np.pi] * 3, cfg), 0.0, atol=1e-15)
 
     def test_config_guards(self):
         with pytest.raises(ValueError):
@@ -96,13 +84,11 @@ class TestStepLattice:
 class TestHamiltonian:
     def test_uniform_open_chain(self):
         cfg = LatticeConfig(n_modes=10, mu_m=2.0, t_n=0.0, dt=0.01)
-        st = LatticeState(theta=np.full(10, 1.3))
-        assert hamiltonian(st, cfg) == pytest.approx(-2.0 * 9)
+        assert hamiltonian(np.full(10, 1.3), cfg) == pytest.approx(-2.0 * 9)
 
     def test_alternating_open_chain(self):
         cfg = LatticeConfig(n_modes=10, mu_m=2.0, t_n=0.0, dt=0.01)
-        st = LatticeState(theta=np.array([0.0, np.pi] * 5))
-        assert hamiltonian(st, cfg) == pytest.approx(+2.0 * 9)
+        assert hamiltonian([0.0, np.pi] * 5, cfg) == pytest.approx(+2.0 * 9)
 
     def test_drift_is_negative_gradient(self):
         rng = np.random.default_rng(8)
@@ -110,15 +96,13 @@ class TestHamiltonian:
             cfg = LatticeConfig(n_modes=12, mu_m=1.4, t_n=0.0, dt=0.001,
                                 boundary=boundary)
             theta = rng.uniform(-np.pi, np.pi, 12)
-            st = LatticeState(theta=theta.copy())
-            drift = (step_lattice(st, cfg).theta - theta) / cfg.dt
+            drift = drift_of(theta, cfg) / cfg.dt
             h = 1e-6
             for m in range(12):
                 tp, tm = theta.copy(), theta.copy()
                 tp[m] += h
                 tm[m] -= h
-                grad = (hamiltonian(LatticeState(theta=tp), cfg)
-                        - hamiltonian(LatticeState(theta=tm), cfg)) / (2 * h)
+                grad = (hamiltonian(tp, cfg) - hamiltonian(tm, cfg)) / (2 * h)
                 assert drift[m] == pytest.approx(-grad, rel=1e-6, abs=1e-8)
 
     def test_global_phase_invariance(self):
@@ -127,13 +111,20 @@ class TestHamiltonian:
         theta = rng.uniform(-3, 3, 9)
         amps = ModeAmplitudes(r=np.ones(9))
         s = np.linspace(0, 2 * np.pi, 17)
-        st0 = LatticeState(theta=theta)
-        st1 = LatticeState(theta=theta + 1.234)
-        assert hamiltonian(st0, cfg) == hamiltonian(st1, cfg)
-        assert np.allclose(intensity_waveform(st0, amps, s),
-                           intensity_waveform(st1, amps, s), rtol=1e-12)
-        assert phase_correlation([st0], 3) == \
-            pytest.approx(phase_correlation([st1], 3), rel=1e-12)
+        shifted = theta + 1.234
+        assert hamiltonian(theta, cfg) == hamiltonian(shifted, cfg)
+        assert np.allclose(intensity_waveform(theta, amps, s),
+                           intensity_waveform(shifted, amps, s), rtol=1e-12)
+        assert phase_correlation(theta, 3) == \
+            pytest.approx(phase_correlation(shifted, 3), rel=1e-12)
+
+    def test_phase_arrays(self):
+        # each row of an (R, N) array is one chain's phase vector
+        cfg = LatticeConfig(n_modes=9, mu_m=1.3, t_n=0.0, dt=0.01,
+                            boundary="periodic")
+        thetas = np.random.default_rng(6).uniform(-3, 3, (5, 9))
+        assert np.array_equal(hamiltonian(thetas, cfg),
+                              [hamiltonian(row, cfg) for row in thetas])
 
 
 class TestSampleGibbs:
@@ -160,16 +151,14 @@ class TestSampleGibbs:
 
 class TestIntensityWaveform:
     def test_coherent_sum(self):
-        st = LatticeState(theta=np.zeros(16))
         amps = ModeAmplitudes(r=np.ones(16))
-        v = intensity_waveform(st, amps, np.array([0.0]))
+        v = intensity_waveform(np.zeros(16), amps, np.array([0.0]))
         assert v[0] == pytest.approx(16.0)
 
     def test_single_mode_is_flat(self):
-        st = LatticeState(theta=np.zeros(16))
         r = np.zeros(16)
         r[5] = 1.0
-        v = intensity_waveform(st, ModeAmplitudes(r=r),
+        v = intensity_waveform(np.zeros(16), ModeAmplitudes(r=r),
                                np.linspace(0, 2 * np.pi, 33))
         assert np.allclose(v, 1.0 / 16.0, rtol=1e-12)
 
@@ -206,21 +195,45 @@ class TestIntensityWaveform:
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.5)
 
     def test_size_mismatch(self):
-        st = LatticeState(theta=np.zeros(8))
         with pytest.raises(ValueError):
-            intensity_waveform(st, ModeAmplitudes(r=np.ones(9)),
+            intensity_waveform(np.zeros(8), ModeAmplitudes(r=np.ones(9)),
                                np.array([0.0]))
+
+    def test_rows_are_single_vectors(self):
+        # an (R, N) array gives R waveforms, each that of its row alone
+        # (the batch may take another BLAS path, hence rounding level)
+        rng = np.random.default_rng(11)
+        thetas = rng.uniform(-3, 3, (6, 12))
+        amps = ModeAmplitudes(r=rng.uniform(0.5, 1.5, 12))
+        s = np.linspace(0.0, 2.0 * np.pi, 19)
+        batch = intensity_waveform(thetas, amps, s)
+        assert batch.shape == (6, 19)
+        for row, v in zip(thetas, batch):
+            assert np.allclose(v, intensity_waveform(row, amps, s),
+                               rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("shape", [(1, 8), (8,), (2, 2, 8)])
+    def test_ensemble_needs_two_samples(self, shape):
+        # the standard error of fewer than two samples is undefined
+        with pytest.raises(InsufficientDataError):
+            ensemble_intensity(np.zeros(shape), ModeAmplitudes(r=np.ones(8)),
+                               np.array([0.0, 1.0]))
 
 
 class TestPhaseCorrelation:
     def test_lag_zero_is_exactly_one(self):
-        st = LatticeState(theta=np.random.default_rng(0).uniform(0, 6, 12))
-        assert phase_correlation([st], 0) == 1.0 + 0.0j
+        theta = np.random.default_rng(0).uniform(0, 6, 12)
+        assert phase_correlation(theta, 0) == 1.0 + 0.0j
 
     def test_lag_out_of_range(self):
-        st = LatticeState(theta=np.zeros(8))
         with pytest.raises(ValueError):
-            phase_correlation([st], 8)
+            phase_correlation(np.zeros(8), 8)
+
+    def test_vector_is_one_sample(self):
+        theta = np.random.default_rng(3).uniform(-3, 3, 10)
+        for k in range(4):
+            assert phase_correlation(theta, k) == \
+                phase_correlation(theta[None, :], k)
 
 
 class TestDetailedBalance:
@@ -279,8 +292,8 @@ class TestRunLattice:
         assert np.array_equal(a.final_state.theta, b.final_state.theta)
 
     def test_matches_repeated_single_steps(self):
-        # From the all-zero start a noiseless chain never moves, so the
-        # run's own noise is replayed on top of noiseless single steps.  The
+        # The run is replayed one step at a time from the all-zero start,
+        # theta += drift; theta += noise row, over the run's own noise.  The
         # run draws its noise in blocks of 4096 rows, each from the stream's
         # next key, and 17 + 4500 steps cross into the second block.  The
         # recorded states, the final state and the statistics of the
@@ -294,23 +307,22 @@ class TestRunLattice:
             stats = run_lattice(cfg, n_steps=n_steps, burn_in=burn_in,
                                 sample_every=sample_every, max_lag=3,
                                 record_every=record_every)
-            still = dataclasses.replace(cfg, t_n=0.0)
             stream = RngStream(cfg.seed)
             noise = np.concatenate([normal_draws(stream, 4096 * n)
                                     for _ in range(2)]).reshape(-1, n) \
                 * np.sqrt(2.0 * cfg.t_n * cfg.dt)
-            st = LatticeState(theta=np.zeros(n))
+            theta = np.zeros(n)
             states = np.empty((k, n))
             for i in range(k):
-                st = LatticeState(theta=step_lattice(st, still).theta
-                                  + noise[i])
-                states[i] = st.theta
+                theta += drift_of(theta, cfg)
+                theta += noise[i]
+                states[i] = theta
             assert np.array_equal(stats.traj_theta, states[::record_every]), \
                 boundary
             assert np.array_equal(stats.traj_time,
                                   (np.arange(0, k, record_every) + 1)
                                   * cfg.dt)
-            assert np.array_equal(st.theta, stats.final_state.theta)
+            assert np.array_equal(theta, stats.final_state.theta)
             dsq, corr, energy = per_sample_reference(
                 states[burn_in::sample_every], cfg, max_lag=3)
             assert stats.n_samples == len(dsq) == 643

@@ -42,6 +42,9 @@ from there, so uncommitted files play no part.  Four records are written to
   ``timestamp`` and ``version`` are dropped (each side's version is
   recorded).  A manifest that differs is listed with the fields that
   differ, ``derived.search_probes`` or ``derived.halted_at`` for instance.
+  A config that a side's ``main`` refuses (a nonzero exit code) is listed
+  as ``<name>: exit <code> on <side>``, and every other config is still
+  compared.
   A table that differs gets its size in ``table_differences``: per column,
   the largest |a - b| over the column's largest |a|, so a change at
   rounding level reads apart from a change in physics.
@@ -192,16 +195,19 @@ print(json.dumps(out))
 """
 
 # runs every config of a JSON list through the CLI of the checkout on
-# sys.path; each config's outputs go to out/<name>
+# sys.path; each config's outputs go to out/<name>, and every config's exit
+# code to exit_codes.json, so a config that one side refuses stops no other
 IDENTITY_DRIVER = """
 import json, sys
 from ringlock.cli import main
+codes = {}
 for name, config in json.load(open(sys.argv[1])):
     path = f"configs/{name}.json"
     with open(path, "w") as fh:
         json.dump(config, fh)
-    if main(["run", path, "--out", f"out/{name}"]) != 0:
-        raise SystemExit(f"{name}: run failed")
+    codes[name] = main(["run", path, "--out", f"out/{name}"])
+with open("exit_codes.json", "w") as fh:
+    json.dump(codes, fh)
 """
 
 
@@ -411,6 +417,7 @@ def table_difference(a, b):
 def byte_identity(work):
     configs = identity_configs(work)
     (work / "configs.json").write_text(json.dumps(configs))
+    codes = {}
     for side in SIDES:
         run_dir = work / f"identity-{side}"
         (run_dir / "configs").mkdir(parents=True)
@@ -418,9 +425,15 @@ def byte_identity(work):
         subprocess.run([sys.executable, "-c", IDENTITY_DRIVER,
                         str(work / "configs.json")], cwd=run_dir, env=env,
                        check=True, capture_output=True)
+        codes[side] = json.loads((run_dir / "exit_codes.json").read_text())
     compared, differing, versions = 0, [], {side: set() for side in SIDES}
     sizes = {}
     for name, _ in configs:
+        failed = [f"{name}: exit {codes[side][name]} on {side}"
+                  for side in SIDES if codes[side][name] != 0]
+        if failed:
+            differing += failed
+            continue
         parent_dir = work / "identity-parent" / "out" / name
         change_dir = work / "identity-change" / "out" / name
         files = sorted(p.name for p in parent_dir.iterdir())
@@ -446,7 +459,8 @@ def byte_identity(work):
                         "archive of each side; every table compared byte for "
                         "byte, and every manifest minus timestamp and "
                         "version; a differing manifest is listed with the "
-                        "fields that differ",
+                        "fields that differ, and a config that a side exits "
+                        "nonzero on with its exit code",
             "configs": "seo (tests/test_cli.py SEO_BASE at 300 cycles x 50 "
                        "steps) and mml (mml-search seed 901 op 0), each at "
                        "l0_factor in {0.5, 0.7, 0.95, 1.0, 1.05, 1.3, 2.0} x "
