@@ -25,7 +25,7 @@ traj = pulses.roundtrip_iterate(0.0, gm, n).real
 print(f"\nnormalized iteration from g = 0 with g_m = {gm}:")
 print("  trips   g (iterated)   g_m tanh(g_m n)")
 for i in (10, 500, 1000, 2500, 5000):
-    exact = pulses.continuous_solution(gm, float(i), 0.0).real
+    exact = pulses.continuous_solution(gm, 0.0, float(i)).real
     print(f"  {i:5d}   {traj[i]:.6e}   {exact:.6e}")
 rel = np.abs(traj[1:] - gm * np.tanh(gm * np.arange(1, n + 1)))
 print(f"  max relative deviation: {np.max(rel / (gm * np.tanh(gm * np.arange(1, n+1)))):.1e}"

@@ -10,15 +10,14 @@ import numpy as np
 
 from ringlock import adler
 
-params = adler.AdlerParams.from_threshold(
-    omega_am=2 * np.pi * 371.4e3, omega_r=2 * np.pi * 371.3e3,
-    v_am0=0.156, v_am=0.156)
+params = adler.AdlerParams(
+    omega_am=2 * np.pi * 371.4e3, omega_r=2 * np.pi * 371.3e3, v_am0=0.156)
 print(f"calibration: zeta_AM = {params.zeta_am:.1f} rad/(s V) from the "
       f"0.156 V locking threshold at 100 Hz detuning")
 
 print("\nlocked vs slipping:")
 for v in (0.312, 0.156, 0.078):
-    i_b = adler.normalized_bias(params.with_amplitude(v))
+    i_b = adler.normalized_bias(params, v)
     beat = adler.beat_frequency(i_b)
     state = "locked" if abs(i_b) <= 1 else \
         f"slipping at {params.zeta_am * v * beat / (2*np.pi):.1f} Hz"

@@ -14,7 +14,7 @@ from ringlock import thermomech as tm
 omega_m = 2 * np.pi * 368.2e3           # mirror used for the locking runs
 chain = tm.NoiseChain(g_oa=1600.0, n_pi=1.25, gamma_om=0.1 * omega_m,
                       n_p=2e6, lambda_l=1550e-9, delta_lambda=0.2e-9,
-                      l_r=553.88, n_eff=1.47, omega_p=2 * np.pi * 193.4e12)
+                      l_r=553.88, omega_p=2 * np.pi * 193.4e12)
 
 a_nf = tm.noise_figure(chain.g_oa, chain.n_pi)
 t_n, n_r, p_oa = tm.effective_noise(chain)

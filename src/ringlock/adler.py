@@ -30,42 +30,33 @@ import numpy as np
 
 from .comb import comb_closed
 from .engine import (SpectrumResult, require, rk4_step, segment_findings,
-                     welch_psd)
+                     size_findings, welch_psd)
 
 
 @dataclass(frozen=True)
 class AdlerParams:
-    """Modulation, cavity, and calibration parameters.
+    """Modulation, cavity, and the threshold calibration.
 
-    ``zeta_am`` converts modulation voltage to a locking rate
-    (rad s^-1 V^-1); when the synchronization threshold V_AM,0 has been
-    measured, zeta_am = (w_AM - w_R)/V_AM,0 so that i_b = V_AM,0/V_AM.
+    The synchronization threshold V_AM,0, measured at the detuning
+    w_AM - w_R, calibrates the locking rate per volt,
+    :attr:`zeta_am`, so that i_b = V_AM,0/V_AM; the modulation amplitude
+    V_AM is passed per call (:func:`normalized_bias`).  The detuning must
+    be nonzero and V_AM,0 positive.
     """
 
     omega_am: float          # modulation angular frequency, rad/s
     omega_r: float           # cavity round-trip angular frequency, rad/s
-    zeta_am: float           # coupling coefficient, rad/(s V)
-    v_am: float              # modulation amplitude, V
     v_am0: float             # measured locking threshold, V
 
     def __post_init__(self):
-        if self.v_am < 0.0:
-            raise ValueError("v_am must be nonnegative")
-        if self.v_am0 <= 0.0:
+        require(_detuning_findings(self.omega_am, self.omega_r))
+        if not self.v_am0 > 0.0:
             raise ValueError("v_am0 must be positive")
 
-    @classmethod
-    def from_threshold(cls, omega_am: float, omega_r: float, v_am0: float,
-                       v_am: float) -> "AdlerParams":
-        """Calibrate zeta_AM from a measured synchronization threshold."""
-        require(_detuning_findings(omega_am, omega_r))
-        return cls(omega_am=omega_am, omega_r=omega_r,
-                   zeta_am=(omega_am - omega_r) / v_am0,
-                   v_am=v_am, v_am0=v_am0)
-
-    def with_amplitude(self, v_am: float) -> "AdlerParams":
-        return AdlerParams(self.omega_am, self.omega_r, self.zeta_am,
-                           v_am, self.v_am0)
+    @property
+    def zeta_am(self) -> float:
+        """Coupling coefficient (w_AM - w_R)/V_AM,0, rad/(s V)."""
+        return (self.omega_am - self.omega_r) / self.v_am0
 
 
 @dataclass(frozen=True)
@@ -84,14 +75,16 @@ class PhaseTrajectory:
             raise ValueError("tau must be strictly increasing")
 
 
-def normalized_bias(params: AdlerParams) -> float:
-    """Normalized detuning i_b = (w_AM - w_R)/(zeta_AM V_AM).
+def normalized_bias(params: AdlerParams, v_am: float) -> float:
+    """Normalized detuning i_b = (w_AM - w_R)/(zeta_AM V_AM) at the
+    modulation amplitude ``v_am`` (V).
 
-    Equals V_AM,0/V_AM under threshold calibration; |i_b| <= 1 is locked.
+    Equals V_AM,0/V_AM to rounding; |i_b| <= 1 is locked.  ``v_am`` must
+    be positive: without modulation nothing locks.
     """
-    if params.v_am == 0.0:
-        raise ZeroDivisionError("v_am = 0: no modulation, never locks")
-    return (params.omega_am - params.omega_r) / (params.zeta_am * params.v_am)
+    if not v_am > 0.0:
+        raise ValueError(f"v_am must be positive (got {v_am:g})")
+    return (params.omega_am - params.omega_r) / (params.zeta_am * v_am)
 
 
 def integrate_adler(i_b: float, phi0: float, tau_end: float,
@@ -178,18 +171,22 @@ class SpectrumMap:
 
 
 def constraint_findings(omega_am: float, omega_r: float, duration: float,
-                        sample_rate: float) -> list[str]:
+                        sample_rate: float, n_v: int) -> list[str]:
     """Violations of a threshold-calibrated sweep's constraints beyond the
     signs of its parameters; an empty list means valid.
 
-    The detuning must be nonzero (:meth:`AdlerParams.from_threshold`
-    checks it), and the detector signal of int(duration*sample_rate)
-    samples must hold one segment of the default Welch length
+    The detuning must be nonzero (:class:`AdlerParams` checks it), and the
+    detector signal of int(duration*sample_rate) samples must hold one
+    segment of the default Welch length
     (:func:`ringlock.engine.segment_findings`, which :func:`welch_psd`
-    checks).  The CLI's config validation checks both here.
+    checks).  That signal, and the spectrum map of (segment/2 + 1) x n_v
+    densities, meet the size rule (:func:`ringlock.engine.size_findings`).
+    The CLI's config validation checks them here.
     """
+    n_t, segment_len = _signal_shape(duration, sample_rate, None)
     return _detuning_findings(omega_am, omega_r) + segment_findings(
-        *_signal_shape(duration, sample_rate, None))
+        n_t, segment_len) + size_findings(n_t, "the detector signal") \
+        + size_findings((segment_len // 2 + 1) * n_v, "the spectrum map")
 
 
 def _detuning_findings(omega_am: float, omega_r: float) -> list[str]:
@@ -223,10 +220,10 @@ def pd_spectrum_sweep(params_base: AdlerParams, v_am_grid,
     Welch-averaged.  Locked points show a single line at w_AM;
     unlocked points a carrier plus sidebands spaced by
     zeta_AM V_AM sqrt(i_b^2-1) (rad/s) with geometric amplitude decay.
+    Every V_AM must be positive (:func:`normalized_bias`).
     """
     v_am_grid = np.asarray(v_am_grid, dtype=float)
-    if np.any(v_am_grid <= 0.0):
-        raise ValueError("v_am_grid entries must be positive")
+    i_b_vals = np.array([normalized_bias(params_base, v) for v in v_am_grid])
     if duration <= 0.0 or sample_rate <= 0.0:
         raise ValueError("duration and sample_rate must be positive")
 
@@ -234,8 +231,6 @@ def pd_spectrum_sweep(params_base: AdlerParams, v_am_grid,
     t = np.arange(n_t) / sample_rate
 
     notes = []
-    i_b_vals = np.array([normalized_bias(params_base.with_amplitude(v))
-                         for v in v_am_grid])
     unlocked = np.abs(i_b_vals) > 1.0
     if np.any(unlocked):
         slowest = np.min(np.abs(i_b_vals[unlocked]) ** 2 - 1.0) ** 0.5

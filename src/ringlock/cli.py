@@ -120,7 +120,6 @@ SCHEMAS = {
         "lambda_l": ParamSpec("m", positive=True),
         "delta_lambda": ParamSpec("m", positive=True),
         "l_r": ParamSpec("m", positive=True),
-        "n_eff": ParamSpec("dimensionless", positive=True),
         "omega_p": ParamSpec("rad/s", positive=True),
         "omega_m": ParamSpec("rad/s", positive=True),
     },
@@ -360,16 +359,8 @@ def _run_pulse(p, manifest, out_dir):
     n = p["n"]
     traj = pulses.roundtrip_iterate(g0, g_m, n)
     idx = np.arange(n + 1)
-    # the continuum law through g0 at tau_R = 0: tau_R0 = -artanh(g0/g_m)/g_m,
-    # infinite at the fixed points g0 = +/-g_m, where the law holds still;
-    # at g_m = 0 != g0 it has no tanh form, and the columns are NaN
-    if g0 in (g_m, -g_m):
-        closed = np.full(n + 1, g0)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau0 = complex(-np.arctanh(np.complex128(g0) / g_m) / g_m)
-        closed = np.array([pulses.continuous_solution(g_m, float(i), tau0)
-                           for i in idx])
+    closed = np.array([pulses.continuous_solution(g_m, g0, float(i))
+                       for i in idx])
     _write_table(manifest, out_dir, "trajectory",
                  ["round_trip", "re_g", "im_g", "re_tanh", "im_tanh"],
                  [idx, traj.real, traj.imag, closed.real, closed.imag])
@@ -386,9 +377,7 @@ def _run_pulse(p, manifest, out_dir):
 
 
 def _run_adler(p, manifest, out_dir):
-    params = adler.AdlerParams.from_threshold(
-        omega_am=p["omega_am"], omega_r=p["omega_r"], v_am0=p["v_am0"],
-        v_am=p["v_am0"])
+    params = adler.AdlerParams(p["omega_am"], p["omega_r"], p["v_am0"])
     grid = np.linspace(p["v_min"], p["v_max"], p["n_v"])
     smap = adler.pd_spectrum_sweep(params, grid, duration=p["duration"],
                                    sample_rate=p["sample_rate"])
@@ -507,7 +496,7 @@ def _run_noise(p, manifest, out_dir):
     chain = thermomech.NoiseChain(
         g_oa=p["g_oa"], n_pi=p["n_pi"], gamma_om=p["gamma_om"], n_p=p["n_p"],
         lambda_l=p["lambda_l"], delta_lambda=p["delta_lambda"],
-        l_r=p["l_r"], n_eff=p["n_eff"], omega_p=p["omega_p"])
+        l_r=p["l_r"], omega_p=p["omega_p"])
     t_n, n_r, p_oa = thermomech.effective_noise(chain)
     omega_m = p["omega_m"]
     names = ["alpha_nf", "t_n_per_s", "n_r_modes", "p_oa_watt",
@@ -546,12 +535,16 @@ _EXPERIMENTS = {
              _run_comb),
     "lattice": (lambda p: lattice.constraint_findings(
         p["n_modes"], p["mu_m"], p["dt"]) + lattice.run_findings(
-        p["n_modes"], p["n_steps"], p["sample_every"], p["max_lag"]),
+        p["n_modes"], p["n_steps"], p["sample_every"], p["max_lag"],
+        burn_in=lattice.default_burn_in(p["mu_m"], p["dt"])
+        if p["burn_in"] is None else p["burn_in"],
+        record_every=p["traj_every"] if p["store_trajectory"] else None),
         _run_lattice),
     "pulse": (lambda p: pulses.constraint_findings(
-        complex(p["g_m_re"], p["g_m_im"])), _run_pulse),
+        complex(p["g_m_re"], p["g_m_im"]), p["n"]), _run_pulse),
     "adler": (lambda p: adler.constraint_findings(
-        p["omega_am"], p["omega_r"], p["duration"], p["sample_rate"]),
+        p["omega_am"], p["omega_r"], p["duration"], p["sample_rate"],
+        p["n_v"]),
         _run_adler),
     "seo": (lambda p: _threshold_findings(p, "cw"), _run_threshold),
     "mml": (lambda p: _threshold_findings(p, "closed_loop"), _run_threshold),

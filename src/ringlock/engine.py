@@ -49,6 +49,23 @@ def require(findings: list[str], error: type = ValueError) -> None:
         raise error("; ".join(findings))
 
 
+# the most float64 cells that one array of a run may hold (256 MiB)
+MAX_CELLS = 2 ** 25
+
+
+def size_findings(cells: int, what: str) -> list[str]:
+    """The size rule: the array ``what`` of ``cells`` float64 cells holds at
+    most MAX_CELLS; an empty list means it does.
+
+    Each experiment's config validation checks its largest arrays here, so
+    a run that could not allocate them, or would fill the memory as it
+    went, is refused before it starts (the comb's series keeps its own
+    rule, :func:`ringlock.comb.series_findings`).
+    """
+    return [f"{what} needs {cells} cells; one array may hold {MAX_CELLS}"] \
+        if cells > MAX_CELLS else []
+
+
 def _seed_findings(seed) -> list[str]:
     """Violations of the seed's domain, an integer in [0, 2**64) (the
     first word of the Philox key); an empty list means valid.

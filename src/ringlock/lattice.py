@@ -24,11 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import InsufficientDataError, RngStream, normal_draws, require
+from .engine import (InsufficientDataError, RngStream, normal_draws, require,
+                     size_findings)
 
 BOUNDARIES = ("open_chain", "periodic")
 MAX_MU_DT = 0.1     # stability bound of the explicit Euler step
 N_BATCHES = 20      # run_lattice's default number of batch-means blocks
+NOISE_BLOCK = 4096  # rows of each block of noise that run_lattice draws
 
 
 def constraint_findings(n_modes: int, mu_m: float, dt: float) -> list[str]:
@@ -48,8 +50,14 @@ def constraint_findings(n_modes: int, mu_m: float, dt: float) -> list[str]:
     return findings
 
 
+def default_burn_in(mu_m: float, dt: float) -> int:
+    """:func:`run_lattice`'s default burn-in, 10/(mu_M*dt) steps."""
+    return int(round(10.0 / (mu_m * dt)))
+
+
 def run_findings(n_modes: int, n_steps: int, sample_every: int, max_lag: int,
-                 n_batches: int = N_BATCHES) -> list[str]:
+                 n_batches: int = N_BATCHES, burn_in: int = 0,
+                 record_every: int | None = None) -> list[str]:
     """Violations of :func:`run_lattice`'s constraints on a chain of
     ``n_modes``; an empty list means valid.
 
@@ -58,8 +66,12 @@ def run_findings(n_modes: int, n_steps: int, sample_every: int, max_lag: int,
     fills when it takes two samples, ceil(n_steps/sample_every) >= 2
     (that is, n_steps > sample_every), and splits them into n_batches >= 2
     batches; fewer leave the errors NaN, which a manifest cannot hold as
-    strict JSON.  :func:`run_lattice` and the CLI's config validation both
-    check these here.  ``sample_every`` must be >= 1.
+    strict JSON.  The block of NOISE_BLOCK noise rows, the block of
+    samples of one batch and, when ``record_every`` is given, the phase
+    vectors recorded over burn_in + n_steps steps meet the size rule
+    (:func:`ringlock.engine.size_findings`).  :func:`run_lattice` and the
+    CLI's config validation both check these here.  ``sample_every`` and
+    ``record_every`` must be >= 1.
     """
     findings = []
     if max_lag >= n_modes:
@@ -72,6 +84,11 @@ def run_findings(n_modes: int, n_steps: int, sample_every: int, max_lag: int,
     if n_batches < 2:
         findings.append(f"n_batches must be >= 2 for the batch-means errors "
                         f"(got {n_batches})")
+    batch = max(1, -(-n_steps // sample_every) // max(n_batches, 1))
+    records = -(-(burn_in + n_steps) // record_every) if record_every else 0
+    for rows, what in ((NOISE_BLOCK, "noise block"), (batch, "batch block"),
+                       (records, "stored trajectory")):
+        findings += size_findings(rows * n_modes, f"the {what}")
     return findings
 
 
@@ -347,7 +364,7 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
     theta += noise row, with no per-step test.
     """
     if burn_in is None:
-        burn_in = int(round(10.0 / (config.mu_m * config.dt)))
+        burn_in = default_burn_in(config.mu_m, config.dt)
     n = config.n_modes
     periodic = config.boundary == "periodic"
     if burn_in < 0 or sample_every < 1 or (record_every is not None
@@ -355,12 +372,12 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
         raise ValueError("require burn_in >= 0, sample_every >= 1 and "
                          "record_every >= 1")
     # the chain's own rules hold: LatticeConfig checked them when made
-    require(run_findings(n, n_steps, sample_every, max_lag, n_batches))
+    require(run_findings(n, n_steps, sample_every, max_lag, n_batches,
+                         burn_in, record_every))
     stream = RngStream(config.seed)
     theta = np.zeros(n)
     drift = _drift(theta, config.dt * config.mu_m, periodic)
     sigma = np.sqrt(2.0 * config.t_n * config.dt)
-    noise_block = 4096
 
     n_total = burn_in + n_steps
     samples_expected = (n_steps + sample_every - 1) // sample_every
@@ -376,10 +393,10 @@ def run_lattice(config: LatticeConfig, n_steps: int, burn_in: int | None = None,
     next_record = 0 if record_every is not None else n_total
     i = 0                 # steps taken
     while i < n_total:
-        noise = normal_draws(stream, noise_block * n).reshape(noise_block, n)
+        noise = normal_draws(stream, NOISE_BLOCK * n).reshape(NOISE_BLOCK, n)
         noise *= sigma
         start = i
-        block_end = min(i + noise_block, n_total)
+        block_end = min(i + NOISE_BLOCK, n_total)
         while i < block_end:
             stop = min(next_sample, next_record, block_end - 1)
             for row in noise[i - start:stop + 1 - start]:

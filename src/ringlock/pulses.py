@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import require
+from .engine import require, size_findings
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -123,14 +123,17 @@ def discrete_fixed_points(g_m: complex):
     return (-g_m * g_m + root) / 2.0, (-g_m * g_m - root) / 2.0
 
 
-def constraint_findings(g_m: complex) -> list[str]:
-    """Violations of the round-trip map's perturbative domain, |g_m| < 1;
-    an empty list means valid.  :func:`roundtrip_iterate` and the CLI's
-    config validation check it here.
+def constraint_findings(g_m: complex, n: int) -> list[str]:
+    """Violations of the round-trip map's perturbative domain, |g_m| < 1,
+    and of the size rule (:func:`ringlock.engine.size_findings`) on a
+    trajectory of ``n`` round trips; an empty list means valid.
+    :func:`roundtrip_iterate` and the CLI's config validation check them
+    here.
     """
+    findings = size_findings(n + 1, f"the trajectory of {n} round trips")
     if not abs(g_m) < 1.0:
-        return [f"|g_m| must be < 1 (got {abs(g_m):g})"]
-    return []
+        findings.append(f"|g_m| must be < 1 (got {abs(g_m):g})")
+    return findings
 
 
 def roundtrip_iterate(g0: complex, g_m: complex, n: int) -> np.ndarray:
@@ -142,7 +145,7 @@ def roundtrip_iterate(g0: complex, g_m: complex, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    require(constraint_findings(g_m))
+    require(constraint_findings(g_m, n))
     out = np.empty(n + 1, dtype=complex)
     g = complex(g0)
     out[0] = g
@@ -155,13 +158,24 @@ def roundtrip_iterate(g0: complex, g_m: complex, n: int) -> np.ndarray:
     return out
 
 
-def continuous_solution(g_m: complex, tau_r: float, tau_r0: float) -> complex:
-    """Closed-form continuum solution g = g_m tanh(g_m (tau_R - tau_R0))."""
-    arg = complex(g_m) * (tau_r - tau_r0)
+def continuous_solution(g_m: complex, g0: complex, tau_r: float) -> complex:
+    """The continuum law dg/dtau_R = g_m^2 - g^2 through g(0) = g0.
+
+    At the fixed points g0 = +/-g_m it holds still; at g_m = 0 it is
+    g0/(1 + g0 tau_R), which the round-trip map g' = g/(1 + g) meets
+    exactly (a ``ZeroDivisionError`` at its pole); otherwise it is
+    g_m tanh(g_m (tau_R - tau_R0)), with tau_R0 = -artanh(g0/g_m)/g_m.
+    """
+    if g0 in (g_m, -g_m):
+        return g0
+    if g_m == 0:
+        return g0 / (1.0 + g0 * tau_r)
+    tau_r0 = complex(-np.arctanh(np.complex128(g0) / g_m) / g_m)
+    arg = g_m * (tau_r - tau_r0)
     # tanh poles sit at i pi/2 + i k pi; only reachable near the imag axis
     if abs(arg.real) < 20.0 and abs(np.cosh(arg)) < 1e-12:
         raise PoleError("tanh pole", gamma=arg)
-    return complex(g_m) * complex(np.tanh(arg))
+    return g_m * complex(np.tanh(arg))
 
 
 def gamma_f_from_band(delta_lambda: float, lambda_l: float,

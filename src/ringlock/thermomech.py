@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import comb
+from . import comb, engine
 from .comb import closed_factors, comb_closed
 from .engine import InsufficientDataError, IntegrationError, require
 
@@ -206,7 +206,6 @@ class NoiseChain:
     lambda_l: float      # m
     delta_lambda: float  # m
     l_r: float           # m, ring length
-    n_eff: float
     omega_p: float       # rad/s, optical carrier
 
     def __post_init__(self):
@@ -666,8 +665,9 @@ def probe_constraint_findings(mode: str, x0: float, t_end: float, dt: float,
     x0 != 0, and every window the probe reads must hold a stored sample.
     Any other probe compares with its reference window, which must open
     after the thermal settling: REFERENCE_WINDOW[0]*kappa_m*t_last >= 1,
-    with t_last the last stored time.  The probe and the CLI's config
-    validation check them here.
+    with t_last the last stored time.  The four stored arrays of
+    :func:`simulate` meet the size rule (:func:`ringlock.engine.size_findings`).
+    The probe and the CLI's config validation check them here.
     """
     findings = ["mml requires x0 != 0 (the seed amplitude)"] \
         if mode == "closed_loop" and x0 == 0.0 else []
@@ -675,6 +675,7 @@ def probe_constraint_findings(mode: str, x0: float, t_end: float, dt: float,
     # sample iff floor(hi*n) > lo*n; the late window holds k = n whenever
     # the reference window holds a sample
     n = int(round(t_end / dt)) // store_every
+    findings += engine.size_findings(4 * (n + 1), "the stored trajectory")
     lo, hi = (LATE_WINDOW, 1.0) if mode == "closed_loop" else REFERENCE_WINDOW
     if not math.floor(hi * n) > lo * n:
         findings.append(f"store_every = {store_every} leaves the growth "

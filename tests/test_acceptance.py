@@ -233,9 +233,9 @@ def test_criterion_06_adler_locking():
     cf_ok = bool(np.max(np.abs(ode_vel[window] - cf_vel)) <= 1e-3)
 
     # spectrum at the reference calibration, i_b = 2
-    params = adler.AdlerParams.from_threshold(
+    params = adler.AdlerParams(
         omega_am=2 * np.pi * 371.4e3, omega_r=2 * np.pi * 371.3e3,
-        v_am0=0.156, v_am=0.078)
+        v_am0=0.156)
     smap = adler.pd_spectrum_sweep(params, np.array([0.078]), duration=0.7,
                                    sample_rate=2.0 ** 20,
                                    segment_len=2 ** 17)
@@ -264,9 +264,9 @@ def test_criterion_06_adler_locking():
 
 def test_criterion_07_calibration_chain():
     """zeta_AM from the measured threshold; i_b = V0/V exactly."""
-    params = adler.AdlerParams.from_threshold(
+    params = adler.AdlerParams(
         omega_am=2 * np.pi * 371.4e3, omega_r=2 * np.pi * 371.3e3,
-        v_am0=0.156, v_am=0.156)
+        v_am0=0.156)
     # the 100 Hz detuning is a difference of ~371 kHz floats, so the
     # comparison against the directly-formed 2*pi*100/0.156 carries
     # cancellation noise ~1e-12 relative
@@ -275,7 +275,7 @@ def test_criterion_07_calibration_chain():
                                         rel=1e-9)
     bias_ok = True
     for v in (0.039, 0.078, 0.156, 0.312, 1.0):
-        i_b = adler.normalized_bias(params.with_amplitude(v))
+        i_b = adler.normalized_bias(params, v)
         bias_ok &= abs(i_b / (0.156 / v) - 1.0) <= 1e-14
     report("C7 calibration chain", zeta_ok and bias_ok,
            f"zeta_AM = {params.zeta_am:.1f} rad/(s V) (= 4027.7); "
@@ -409,7 +409,7 @@ def test_criterion_10_noise_chain_numbers():
     omega_m = 2 * np.pi * 368.2e3
     chain = thermomech.NoiseChain(
         g_oa=1600.0, n_pi=1.25, gamma_om=0.1 * omega_m, n_p=2e6,
-        lambda_l=1550e-9, delta_lambda=0.2e-9, l_r=553.88, n_eff=1.47,
+        lambda_l=1550e-9, delta_lambda=0.2e-9, l_r=553.88,
         omega_p=2 * np.pi * 193.4e12)
     a_nf = thermomech.noise_figure(chain.g_oa, chain.n_pi)
     t_n, n_r, _p_oa = thermomech.effective_noise(chain)

@@ -20,37 +20,52 @@ def mean_slip_rate(traj: PhaseTrajectory) -> float:
 
 
 class TestNormalizedBias:
-    def params(self, v_am):
-        return AdlerParams.from_threshold(
-            omega_am=2 * np.pi * 371.4e3, omega_r=2 * np.pi * 371.3e3,
-            v_am0=0.156, v_am=v_am)
+    PARAMS = AdlerParams(omega_am=2 * np.pi * 371.4e3,
+                         omega_r=2 * np.pi * 371.3e3, v_am0=0.156)
 
     def test_threshold_gives_unity(self):
-        assert normalized_bias(self.params(0.156)) == pytest.approx(1.0)
+        assert normalized_bias(self.PARAMS, 0.156) == pytest.approx(1.0)
 
     def test_double_drive_halves_bias(self):
-        assert normalized_bias(self.params(0.312)) == pytest.approx(0.5)
+        assert normalized_bias(self.PARAMS, 0.312) == pytest.approx(0.5)
 
     def test_calibration_coefficient(self):
-        p = self.params(0.1)
+        p = self.PARAMS
         assert p.zeta_am == pytest.approx(2 * np.pi * 100.0 / 0.156)
         assert round(p.zeta_am, 1) == 4027.7
 
     def test_zero_detuning_refused(self):
         # zeta_AM = 0 would leave every i_b = 0/0
         with pytest.raises(ValueError, match="omega_r"):
-            AdlerParams.from_threshold(omega_am=2 * np.pi * 371.4e3,
-                                       omega_r=2 * np.pi * 371.4e3,
-                                       v_am0=0.156, v_am=0.1)
+            AdlerParams(omega_am=2 * np.pi * 371.4e3,
+                        omega_r=2 * np.pi * 371.4e3, v_am0=0.156)
 
     def test_bias_equals_threshold_ratio(self):
         for v in (0.05, 0.2, 1.0):
-            assert normalized_bias(self.params(v)) == \
+            assert normalized_bias(self.PARAMS, v) == \
                 pytest.approx(0.156 / v, rel=1e-14)
 
     def test_zero_drive_never_locks(self):
-        with pytest.raises(ZeroDivisionError):
-            normalized_bias(self.params(0.0))
+        with pytest.raises(ValueError, match="v_am must be positive"):
+            normalized_bias(self.PARAMS, 0.0)
+
+    def test_calibration_refuses_a_nonpositive_threshold(self):
+        for v_am0 in (0.0, -0.156, float("nan")):
+            with pytest.raises(ValueError, match="v_am0 must be positive"):
+                AdlerParams(omega_am=2 * np.pi * 371.4e3,
+                            omega_r=2 * np.pi * 371.3e3, v_am0=v_am0)
+
+    def test_bias_is_threshold_ratio_to_rounding(self):
+        # i_b = detuning/(zeta V) with zeta = detuning/V0: within one ulp
+        # of V0/V, and a bad input, not a numerical failure, at V <= 0
+        v = 10.0 ** np.random.default_rng(29).uniform(-3.0, 2.0, 2000)
+        i_b = np.array([normalized_bias(self.PARAMS, x) for x in v])
+        assert np.max(np.abs(i_b / (0.156 / v) - 1.0)) <= \
+            np.finfo(float).eps
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(ValueError) as err:
+                normalized_bias(self.PARAMS, bad)
+            assert not isinstance(err.value, ArithmeticError)
 
 
 class TestIntegrateAdler:
@@ -159,9 +174,8 @@ class TestUnlockedClosedForm:
 class TestSpectrumSweep:
     @staticmethod
     def sweep():
-        params = AdlerParams.from_threshold(
-            omega_am=2 * np.pi * 4000.0, omega_r=2 * np.pi * 3980.0,
-            v_am0=0.2, v_am=0.2)
+        params = AdlerParams(omega_am=2 * np.pi * 4000.0,
+                             omega_r=2 * np.pi * 3980.0, v_am0=0.2)
         grid = np.array([0.4, 0.1])   # i_b = 0.5 (locked), 2.0 (unlocked)
         return params, pd_spectrum_sweep(params, grid, duration=4.0,
                                          sample_rate=16384.0,
@@ -201,9 +215,8 @@ class TestSpectrumSweep:
         # exact powers, rho = exp(-arccosh(i_b)): rho^2 at the carrier and
         # rho^(2(m-1)) (1 - rho^2)^2 at rung m >= 1; each real line of
         # complex amplitude c carries |c|^2/2 = amp^2
-        params = AdlerParams.from_threshold(
-            omega_am=2 * np.pi * 371.4e3, omega_r=2 * np.pi * 371.3e3,
-            v_am0=0.156, v_am=0.156)
+        params = AdlerParams(omega_am=2 * np.pi * 371.4e3,
+                             omega_r=2 * np.pi * 371.3e3, v_am0=0.156)
         grid = 0.156 / np.array([3.12, 1.2])
         smap = pd_spectrum_sweep(params, grid, duration=0.5,
                                  sample_rate=2.0 ** 20, segment_len=2 ** 17)
@@ -222,17 +235,15 @@ class TestSpectrumSweep:
             assert np.max(np.abs(2 * amps ** 2 - exact)) < 1e-4, i_b
 
     def test_short_duration_warns_in_metadata(self):
-        params = AdlerParams.from_threshold(
-            omega_am=2 * np.pi * 4000.0, omega_r=2 * np.pi * 3990.0,
-            v_am0=0.1, v_am=0.1)
+        params = AdlerParams(omega_am=2 * np.pi * 4000.0,
+                             omega_r=2 * np.pi * 3990.0, v_am0=0.1)
         smap = pd_spectrum_sweep(params, np.array([0.05]), duration=1.0,
                                  sample_rate=8192.0, segment_len=2048)
         assert len(smap.warnings) == 1
         assert "beat periods" in smap.warnings[0]
 
     def test_grid_validation(self):
-        params = AdlerParams.from_threshold(2 * np.pi * 4000, 2 * np.pi
-                                            * 3990, 0.1, 0.1)
+        params = AdlerParams(2 * np.pi * 4000, 2 * np.pi * 3990, 0.1)
         with pytest.raises(ValueError):
             pd_spectrum_sweep(params, np.array([0.0, 0.1]), 1.0, 8192.0)
 

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,7 @@ LATTICE_PARAMS = {"n_modes": 16, "mu_m": 1.0, "t_n": 0.2, "dt": 0.002,
 NOISE_PARAMS = {
     "g_oa": 1600.0, "n_pi": 1.25, "gamma_om": 0.1 * 2 * np.pi * 368.2e3,
     "n_p": 2e6, "lambda_l": 1550e-9, "delta_lambda": 0.2e-9, "l_r": 553.88,
-    "n_eff": 1.47, "omega_p": 2 * np.pi * 193.4e12,
+    "omega_p": 2 * np.pi * 193.4e12,
     "omega_m": 2 * np.pi * 368.2e3}
 ADLER_PARAMS = {"omega_am": 2333575.02, "omega_r": 2332946.70,
                 "v_am0": 0.156, "v_min": 0.04, "v_max": 0.31, "n_v": 3,
@@ -255,13 +257,25 @@ class TestRunExperiment:
         g0 = 0.01 - 0.005j
         law = tanh_columns(g0, "start")
         tau0 = complex(-np.arctanh(g0 / g_m) / g_m)
-        want = [pulses.continuous_solution(g_m, float(i), tau0)
-                for i in range(401)]
+        want = [g_m * np.tanh(g_m * (i - tau0)) for i in range(401)]
         assert law[0] == pytest.approx(g0, rel=1e-14)
         assert np.allclose(law, want, rtol=1e-14, atol=0)
         for fixed in (g_m, -g_m):
             law = tanh_columns(fixed, f"fixed{fixed}")
             assert np.array_equal(law, np.full(401, fixed))
+
+    def test_pulse_continuum_columns_without_modulation(self, tmp_path):
+        # at g_m = 0 != g0 the continuum law is g0/(1 + g0 tau_R), which
+        # the map g' = g/(1 + g) meets exactly: the columns equal the map's
+        # to rounding, as a share of the largest |g|
+        cfg = ExperimentConfig("pulse", {"g_m_re": 0.0, "g0_re": 0.01,
+                                         "n": 400}, 0, tmp_path)
+        run_experiment(cfg)
+        table = np.loadtxt(tmp_path / "pulse_trajectory.txt")
+        g_map = table[:, 1] + 1j * table[:, 2]
+        law = table[:, 3] + 1j * table[:, 4]
+        assert np.all(np.isfinite(law))
+        assert np.max(np.abs(law - g_map)) <= 1e-15 * np.max(np.abs(g_map))
 
     SEO_BASE = {
         "m_m": 1e-12, "omega_m": 2 * np.pi * 4e5,
@@ -594,6 +608,9 @@ class TestMainEntry:
                     NOISE_PARAMS, g_oa=0.5)}, "g_oa"),
                 ("n_pi.json", {"experiment": "noise", "parameters": dict(
                     NOISE_PARAMS, n_pi=0.5)}, "n_pi"),
+                # no law reads the effective index: N_R = L_R dlambda/lambda^2
+                ("n_eff.json", {"experiment": "noise", "parameters": dict(
+                    NOISE_PARAMS, n_eff=1.47)}, "unknown key 'n_eff'"),
                 ("seo.json", {"experiment": "seo", "parameters": dict(
                     TestRunExperiment.SEO_BASE, steps_per_cycle=20)},
                  "steps per mechanical period"),
@@ -659,6 +676,50 @@ class TestMainEntry:
             err = capsys.readouterr().err
             assert err.startswith("finding: "), err
             assert "Traceback" not in err
+
+    # configs whose largest array exceeds the size rule, and the array the
+    # finding names: each failed on its first allocation before the rule
+    OVERSIZED = {
+        "seo": ("seo", dict(TestRunExperiment.SEO_BASE, n_cycles=10 ** 9,
+                            steps_per_cycle=200, store_every=10),
+                "the stored trajectory"),
+        "lattice": ("lattice", dict(LATTICE_PARAMS, n_modes=64,
+                                    n_steps=10 ** 12, sample_every=1),
+                    "the batch block"),
+        "lattice_trajectory": ("lattice", dict(
+            LATTICE_PARAMS, n_steps=10 ** 9, sample_every=1000,
+            store_trajectory=True, traj_every=10), "the stored trajectory"),
+        "lattice_modes": ("lattice", dict(LATTICE_PARAMS, n_modes=10 ** 4),
+                          "the noise block"),
+        "adler": ("adler", dict(ADLER_PARAMS, duration=1e6,
+                                sample_rate=2.0 ** 20), "the detector signal"),
+        "adler_grid": ("adler", dict(ADLER_PARAMS, n_v=10 ** 6),
+                       "the spectrum map"),
+        "pulse": ("pulse", {"g_m_re": 0.1, "n": 10 ** 12}, "the trajectory"),
+    }
+
+    @pytest.mark.parametrize("name", list(OVERSIZED))
+    def test_oversized_runs_refused_before_allocating(self, tmp_path, capsys,
+                                                      name):
+        experiment, params, array = self.OVERSIZED[name]
+        path = write_config(tmp_path, {"experiment": experiment,
+                                       "parameters": params})
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            assert main(["validate", str(path)]) == 2
+            assert main(["run", str(path), "--out", str(out)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 2 ** 20
+        assert not out.exists()
+        captured = capsys.readouterr()
+        for text in (captured.out, captured.err):
+            assert array in text and "one array may hold" in text, text
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask022", "umask077"])

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from ringlock.engine import (IntegrationError, InsufficientDataError,
-                             RngStream, normal_draws, require, rk4_step,
-                             segment_findings, substream, welch_psd)
+from ringlock.engine import (MAX_CELLS, IntegrationError,
+                             InsufficientDataError, RngStream, normal_draws,
+                             require, rk4_step, segment_findings,
+                             size_findings, substream, welch_psd)
 
 
 class TestNormalDraws:
@@ -155,6 +156,35 @@ class TestFailureContract:
             require(["a", "b"])
         with pytest.raises(InsufficientDataError, match="^short$"):
             require(["short"], InsufficientDataError)
+
+
+class TestSizeRule:
+    def test_bound_is_inclusive(self):
+        assert MAX_CELLS == 2 ** 25
+        assert size_findings(MAX_CELLS, "the block") == []
+        assert size_findings(MAX_CELLS + 1, "the block") == [
+            f"the block needs {MAX_CELLS + 1} cells; one array may hold "
+            f"{MAX_CELLS}"]
+
+    def test_library_entry_points_refuse_before_allocating(self):
+        # each checks the rule before its first allocation: a run of these
+        # sizes would ask for terabytes at once
+        from ringlock import lattice, pulses, thermomech
+        with pytest.raises(ValueError, match="the trajectory of"):
+            pulses.roundtrip_iterate(0.0, 0.1, 10 ** 12)
+        config = lattice.LatticeConfig(64, 1.0, 0.1, 1e-3)
+        with pytest.raises(ValueError, match="the batch block"):
+            lattice.run_lattice(config, 10 ** 12, sample_every=1)
+        with pytest.raises(ValueError, match="the stored trajectory"):
+            lattice.run_lattice(config, 10 ** 9, sample_every=1000,
+                                record_every=10)
+        mech = thermomech.MechParams(1e-12, 1.0, 0.01, 0.0, -1e-9, 0.02)
+        absorption = thermomech.AbsorptionModel(1e5, 1e4)
+        dt = 2 * np.pi / 200
+        with pytest.raises(ValueError, match="the stored trajectory"):
+            thermomech.probe_growth(mech, absorption,
+                                    thermomech.IntensityDrive.cw(1.0), 1e-8,
+                                    1e9 * 200 * dt, dt, 10)
 
 
 class TestWelchPsd:

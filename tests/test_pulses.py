@@ -238,21 +238,26 @@ class TestRoundtripIterate:
 
 class TestContinuousSolution:
     def test_zero_at_reference_time(self):
-        assert continuous_solution(0.01, 5.0, 5.0) == 0.0
+        assert continuous_solution(0.01, 0.0, 0.0) == 0.0
 
     def test_asymptote_is_fixed_point(self):
-        assert continuous_solution(0.02, 1e6, 0.0) == pytest.approx(0.02)
+        assert continuous_solution(0.02, 0.0, 1e6) == pytest.approx(0.02)
 
     def test_ode_residual(self):
+        # from rest, from a nonzero start, and without modulation (g_m = 0)
         rng = np.random.default_rng(6)
         for _ in range(20):
             gm = complex(rng.uniform(0.001, 0.05), rng.uniform(-0.01, 0.01))
             tau = rng.uniform(0.0, 3.0 / abs(gm))
-            h = 1e-3
-            g = continuous_solution(gm, tau, 0.0)
-            dg = (continuous_solution(gm, tau + h, 0.0)
-                  - continuous_solution(gm, tau - h, 0.0)) / (2.0 * h)
-            assert abs(dg - (gm * gm - g * g)) < 1e-8
+            start = gm * rng.uniform(-0.9, 2.0)
+            for g_m, g0 in ((gm, 0.0), (gm, start), (0.0, gm)):
+                assert continuous_solution(g_m, g0, 0.0) == \
+                    pytest.approx(g0, rel=1e-14, abs=0.0)
+                h = 1e-3
+                g = continuous_solution(g_m, g0, tau)
+                dg = (continuous_solution(g_m, g0, tau + h)
+                      - continuous_solution(g_m, g0, tau - h)) / (2.0 * h)
+                assert abs(dg - (g_m * g_m - g * g)) < 1e-8
 
 
 class TestGammaFFromBand:

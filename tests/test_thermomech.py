@@ -84,8 +84,7 @@ class TestNoiseChain:
         omega_r = 2 * np.pi * 368.2e3
         return NoiseChain(g_oa=1600.0, n_pi=1.25, gamma_om=0.1 * omega_r,
                           n_p=2e6, lambda_l=1550e-9, delta_lambda=0.2e-9,
-                          l_r=553.88, n_eff=1.47,
-                          omega_p=2 * np.pi * 193.4e12)
+                          l_r=553.88, omega_p=2 * np.pi * 193.4e12)
 
     def test_noise_figure_value(self):
         assert noise_figure(1600.0, 1.25) == pytest.approx(2.4984375)
@@ -114,8 +113,7 @@ class TestNoiseChain:
             noise_figure(0.5, 1.25)
         with pytest.raises(ValueError):
             NoiseChain(g_oa=0.5, n_pi=1.25, gamma_om=1.0, n_p=1.0,
-                       lambda_l=1.0, delta_lambda=1.0, l_r=1.0, n_eff=1.0,
-                       omega_p=1.0)
+                       lambda_l=1.0, delta_lambda=1.0, l_r=1.0, omega_p=1.0)
 
 
 class TestThresholdFormulas:

@@ -4,7 +4,7 @@
         --label NAME --seeds 1501-1510 --work DIR
 
 Each revision is exported with ``git archive`` into ``DIR/<side>`` and run
-from there, so uncommitted files play no part.  Four records are written to
+from there, so uncommitted files play no part.  Five records are written to
 ``BENCH_<label>.json`` at the repository root:
 
 - ``pairs``: for every seed and workload, ``bench/run.py --trace 0`` once on
@@ -48,18 +48,26 @@ from there, so uncommitted files play no part.  Four records are written to
   A table that differs gets its size in ``table_differences``: per column,
   the largest |a - b| over the column's largest |a|, so a change at
   rounding level reads apart from a change in physics.
+- ``tier1``: after the pairs, the tier-1 suite of each side's export,
+  ``python -m pytest -q -p no:cacheprovider`` run from the export's root
+  with ``PYTHONPATH=<side>/src``: its wall time, the passed and failed
+  counts, and the failing test ids.
 
 The workloads and the end-to-end metrics are those of ``BENCHMARK.json``,
 and every benchmark run lasts its ``run_seconds`` (40 s), so a seed takes
-about 4 minutes over three workloads and its two kernel runs.
+about 4 minutes over three workloads and its two kernel runs.  The tier-1
+record adds one suite run per side, about 3 minutes in all on a 2-core
+machine.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +112,7 @@ OTHER_CONFIGS = [
     ["noise", {"experiment": "noise", "seed": 0, "parameters": {
         "g_oa": 1600.0, "n_pi": 1.25, "gamma_om": 0.1 * 2 * np.pi * 368.2e3,
         "n_p": 2e6, "lambda_l": 1550e-9, "delta_lambda": 0.2e-9,
-        "l_r": 553.88, "n_eff": 1.47, "omega_p": 2 * np.pi * 193.4e12,
+        "l_r": 553.88, "omega_p": 2 * np.pi * 193.4e12,
         "omega_m": 2 * np.pi * 368.2e3}}],
 ]
 
@@ -171,13 +179,14 @@ out["block_means"] = least(
     lambda: lattice._block_means(block, 1.0, 10, False))[0] * 1e3
 out["integrate_adler"] = least(lambda: adler.integrate_adler(
     1.2, 0.0, adler_steps * 0.01, 0.01))[0] / adler_steps * 1e6
-params = adler.AdlerParams.from_threshold(adl["omega_am"], adl["omega_r"],
-                                          adl["v_am0"], adl["v_min"])
-rate = params.zeta_am * params.v_am
+# the sweep's floats at its lowest V_AM: zeta_AM = detuning/V_AM,0, the
+# rate d(tau)/dt = zeta_AM*V_AM and i_b = detuning/rate
+detuning = adl["omega_am"] - adl["omega_r"]
+rate = detuning / adl["v_am0"] * adl["v_min"]
 rate_hz = adl["sample_rate"]
 t = np.arange(int(adl["duration"] * rate_hz)) / rate_hz
-phi = adler.closed_form_phase(adler.normalized_bias(params), abs(rate) * t)
-signal = np.cos(params.omega_am * t - np.sign(rate) * phi)
+phi = adler.closed_form_phase(detuning / rate, abs(rate) * t)
+signal = np.cos(adl["omega_am"] * t - np.sign(rate) * phi)
 elapsed, psd = least(lambda: engine.welch_psd(signal, rate_hz, 8192))
 out["welch_psd"] = elapsed / psd.segments * 1e6
 columns = list(np.random.default_rng(0).normal(size=(4, 4097)))
@@ -478,6 +487,30 @@ def byte_identity(work):
             "table_differences": sizes}
 
 
+def tier1(work):
+    """The ``tier1`` record: each side's tier-1 suite, run on its export."""
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    record = {"command": "PYTHONPATH=<side>/src python -m pytest -q "
+                         "-p no:cacheprovider, from the export's root"}
+    for side in SIDES:
+        env = dict(os.environ, PYTHONPATH=str(work / side / "src"))
+        start = time.perf_counter()
+        out = subprocess.run(command, cwd=work / side, env=env,
+                             capture_output=True, text=True).stdout
+        counts = dict((kind, int(n)) for n, kind in re.findall(
+            r"(\d+) (passed|failed|errors?)\b", out.splitlines()[-1]))
+        record[side] = {
+            "wall_s": round(time.perf_counter() - start, 1),
+            "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0),
+            "errors": counts.get("error", 0) + counts.get("errors", 0),
+            "failing": [line.split()[1] for line in out.splitlines()
+                        if line.startswith(("FAILED ", "ERROR "))]}
+        log(f"tier-1 {side}: {record[side]['passed']} passed, "
+            f"{record[side]['failed']} failed in {record[side]['wall_s']} s")
+    return record
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
@@ -518,6 +551,8 @@ def main(argv=None):
     log("traced mml-search")
     record["traced_mml_search"] = traced(args.work, first, seconds)
     record["pairs"], record["kernels"] = run_pairs(args.work, seeds, seconds)
+    log("tier-1")
+    record["tier1"] = tier1(args.work)
     record["env"]["loadavg_end"] = list(os.getloadavg())
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
