@@ -56,7 +56,7 @@ from there, so uncommitted files play no part.  Five records are written to
 The workloads and the end-to-end metrics are those of ``BENCHMARK.json``,
 and every benchmark run lasts its ``run_seconds`` (40 s), so a seed takes
 about 4 minutes over three workloads and its two kernel runs.  The tier-1
-record adds one suite run per side, about 3 minutes in all on a 2-core
+record adds one suite run per side, about 3.5 minutes in all on a 2-core
 machine.
 """
 
